@@ -15,10 +15,11 @@
      0.5x of the committed baseline's speedup, and only when the
      machine shape matches (the baseline records its core count; on a
      different machine the speedup gate is skipped, the behaviour gate
-     never is).  On the 1-core container that produced BENCH_PR6.json
-     the honest "speedup" is below 1 — domains add coordination cost
-     and there is no parallel hardware to pay for it — so the gate is
-     pinning overhead, not a 2x win. *)
+     never is).  On the 2-core machine that produced BENCH_PR6.json
+     the honest "speedup" is still below 1 — with one lookahead of
+     work between barriers, domains add more coordination cost than
+     the second core repays — so the gate is pinning overhead, not a
+     2x win. *)
 
 module ST = Engine.Sim_time
 

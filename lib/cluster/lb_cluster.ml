@@ -34,6 +34,9 @@ type t = {
   lookahead : Sim_time.t;
   trace_capacity : int option;
   slots : (int, member) Hashtbl.t;
+  mutable serving : member array option;
+      (* in-rotation members by slot; [None] after any change to the
+         rotation (spawn, drain, remove) until the next [connect] *)
   mutable next_slot : int;
   mutable next_req_id : int;
   mutable removed_completed : int;
@@ -67,6 +70,7 @@ let spawn t ~mode ~workers =
   in
   Coordinator.add t.coord shard;
   Hashtbl.replace t.slots slot { slot; shard; dev; draining = false };
+  t.serving <- None;
   slot
 
 (* The synchronization round, riding the control sim as a recurring
@@ -103,6 +107,7 @@ let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?(shards = 1)
       lookahead;
       trace_capacity;
       slots = Hashtbl.create 16;
+      serving = None;
       next_slot = 0;
       next_req_id = 0;
       removed_completed = 0;
@@ -121,9 +126,6 @@ let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?(shards = 1)
 
 let size t = Hashtbl.length t.slots
 
-let in_rotation t =
-  Hashtbl.fold (fun _ m acc -> if m.draining then acc else acc + 1) t.slots 0
-
 let member t slot =
   match Hashtbl.find_opt t.slots slot with
   | Some m -> m
@@ -136,8 +138,18 @@ let devices t =
   |> List.sort compare
 
 let serving t =
-  Hashtbl.fold (fun _ m acc -> if m.draining then acc else m :: acc) t.slots []
-  |> List.sort (fun a b -> compare a.slot b.slot)
+  match t.serving with
+  | Some members -> members
+  | None ->
+    let members =
+      Hashtbl.fold (fun _ m acc -> if m.draining then acc else m :: acc) t.slots []
+      |> List.sort (fun a b -> compare a.slot b.slot)
+      |> Array.of_list
+    in
+    t.serving <- Some members;
+    members
+
+let in_rotation t = Array.length (serving t)
 
 let lookahead t = t.lookahead
 
@@ -202,15 +214,15 @@ let dispatch t m ~tenant ~events =
       Lb.Device.connect m.dev ~tenant ~events:dev_events)
 
 let connect t ~tenant ~events =
-  match serving t with
-  | [] ->
+  let members = serving t in
+  if Array.length members = 0 then
     (* Nothing in rotation is a control-plane fact known immediately:
        fail synchronously, before any cross-shard hop. *)
     events.dispatch_failed ()
-  | members ->
+  else
     (* ECMP-style spread: uniform choice is what per-flow hashing looks
        like over many flows. *)
-    let m = List.nth members (Engine.Rng.int t.rng (List.length members)) in
+    let m = members.(Engine.Rng.int t.rng (Array.length members)) in
     dispatch t m ~tenant ~events
 
 let send r req =
@@ -233,7 +245,9 @@ let add_device t ~mode ?workers () =
   let workers = Option.value ~default:t.default_workers workers in
   spawn t ~mode ~workers
 
-let drain_device t slot = (member t slot).draining <- true
+let drain_device t slot =
+  (member t slot).draining <- true;
+  t.serving <- None
 
 let live_conns t slot =
   Array.fold_left ( + ) 0 (Lb.Device.conns_per_worker (device t slot))
@@ -249,6 +263,7 @@ let remove t slot =
     t.retired_trace_drops <- t.retired_trace_drops + Shard.dropped_records m.shard
   | None -> ());
   Hashtbl.remove t.slots slot;
+  t.serving <- None;
   Coordinator.remove t.coord (lp_of_slot slot)
 
 let remove_when_drained t slot ?(poll = Sim_time.ms 100) ~on_removed () =

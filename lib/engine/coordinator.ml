@@ -174,8 +174,7 @@ module Pool = Pool_make (Mcheck_shim.Real)
 
 type t = {
   control : Shard.t;
-  shards : (int, Shard.t) Hashtbl.t;
-  mutable member_ids : int list; (* ascending *)
+  mutable members : Shard.t array; (* ascending shard id *)
   domains : int;
   mutable pool : Pool.t option;
   mutable horizon : Sim_time.t;
@@ -184,34 +183,38 @@ type t = {
 
 let create ~control ~domains =
   if domains < 1 then invalid_arg "Coordinator.create: domains must be >= 1";
-  {
-    control;
-    shards = Hashtbl.create 16;
-    member_ids = [];
-    domains;
-    pool = None;
-    horizon = 0;
-    stopped = false;
-  }
+  { control; members = [||]; domains; pool = None; horizon = 0; stopped = false }
+
+let find t id =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let m = t.members.(mid) in
+      let c = Int.compare (Shard.id m) id in
+      if c = 0 then Some m else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length t.members)
 
 let add t shard =
   let id = Shard.id shard in
   if id = Shard.id t.control then
     invalid_arg "Coordinator.add: shard id collides with the control LP";
-  if Hashtbl.mem t.shards id then
+  if find t id <> None then
     invalid_arg (Printf.sprintf "Coordinator.add: duplicate shard id %d" id);
   (* A shard joining mid-run starts at the fleet's horizon, not at 0
      (no-op when the caller already aligned it before populating it). *)
   if Sim.now (Shard.sim shard) < t.horizon then Shard.run_to shard ~limit:t.horizon;
-  Hashtbl.replace t.shards id shard;
-  t.member_ids <- List.sort compare (id :: t.member_ids)
+  let members = Array.append t.members [| shard |] in
+  Array.stable_sort (fun a b -> Int.compare (Shard.id a) (Shard.id b)) members;
+  t.members <- members
 
 let remove t id =
-  Hashtbl.remove t.shards id;
-  t.member_ids <- List.filter (fun i -> i <> id) t.member_ids
+  t.members <-
+    Array.of_list
+      (List.filter (fun m -> Shard.id m <> id) (Array.to_list t.members))
 
-let members t = List.map (Hashtbl.find t.shards) t.member_ids
-let find t id = Hashtbl.find_opt t.shards id
+let members t = Array.to_list t.members
 let horizon t = t.horizon
 
 let message_order (a : Shard.message) (b : Shard.message) =
@@ -219,34 +222,56 @@ let message_order (a : Shard.message) (b : Shard.message) =
   | 0 -> ( match compare a.src b.src with 0 -> compare a.seq b.seq | c -> c)
   | c -> c
 
-let deliver_sorted t msgs =
-  List.iter
-    (fun (msg : Shard.message) ->
-      let dst =
-        if msg.dst = Shard.id t.control then Some t.control
-        else Hashtbl.find_opt t.shards msg.dst
-      in
-      (* A missing destination was removed since the send: drop. *)
-      match dst with None -> () | Some shard -> Shard.deliver shard msg)
-    (List.sort message_order msgs)
+let rec deliver_all t = function
+  | [] -> ()
+  | (msg : Shard.message) :: rest ->
+    (if msg.dst = Shard.id t.control then Shard.deliver t.control msg
+     else
+       (* A missing destination was removed since the send: drop. *)
+       match find t msg.dst with
+       | None -> ()
+       | Some shard -> Shard.deliver shard msg);
+    deliver_all t rest
 
+let deliver_sorted t msgs = deliver_all t (List.sort message_order msgs)
+
+let pool t =
+  match t.pool with
+  | Some p -> p
+  | None ->
+    let p = Pool.create ~domains:t.domains () in
+    t.pool <- Some p;
+    p
+
+(* O(members with work due): an idle member only has its clocks set
+   (Shard.skip_idle), so the pool sees busy members alone and a round
+   with at most one of them never leaves the calling domain. *)
 let run_members t ~limit =
-  let members = members t in
-  let parallel = t.domains > 1 && List.length members > 1 in
-  if not parallel then
-    List.iter (fun shard -> Shard.run_to shard ~limit) members
+  let members = t.members in
+  if t.domains = 1 then
+    for i = 0 to Array.length members - 1 do
+      Shard.run_to members.(i) ~limit
+    done
   else begin
-    let pool =
-      match t.pool with
-      | Some p -> p
-      | None ->
-        let p = Pool.create ~domains:t.domains () in
-        t.pool <- Some p;
-        p
-    in
-    Pool.run_round pool
-      (List.map (fun shard () -> Shard.run_to shard ~limit) members)
+    let busy = ref [] in
+    for i = Array.length members - 1 downto 0 do
+      let m = members.(i) in
+      if not (Shard.skip_idle m ~limit) then busy := m :: !busy
+    done;
+    match !busy with
+    | [] -> ()
+    | [ m ] -> Shard.run_to m ~limit
+    | busy ->
+      Pool.run_round (pool t)
+        (List.map (fun m () -> Shard.run_to m ~limit) busy)
   end
+
+let collect_mail t =
+  let mail = ref [] in
+  for i = 0 to Array.length t.members - 1 do
+    mail := List.rev_append (Shard.drain_outbox t.members.(i)) !mail
+  done;
+  !mail
 
 let advance t ~horizon =
   if horizon < t.horizon then
@@ -256,8 +281,7 @@ let advance t ~horizon =
   deliver_sorted t (Shard.drain_outbox t.control);
   run_members t ~limit:horizon;
   t.horizon <- horizon;
-  deliver_sorted t
-    (List.concat_map Shard.drain_outbox (members t))
+  deliver_sorted t (collect_mail t)
 
 let shutdown t =
   if not t.stopped then begin

@@ -11,7 +11,10 @@
       sorted by [(at, src, seq)];
     + run every member shard to the new horizon — inline on the
       calling domain, or fanned out over a {!Task_deque}-based
-      work-stealing domain pool when [domains > 1];
+      work-stealing domain pool when [domains > 1].  A member with
+      nothing due by the horizon ({!Shard.skip_idle}) only has its
+      clocks moved, so a round costs O(members with work due) and the
+      pool is used only when at least two members are busy;
     + collect the members' outboxes, sort globally by
       [(at, src, seq)], and deliver.
 

@@ -41,17 +41,41 @@ let drain_outbox t =
 
 let deliver t msg = ignore (Sim.schedule t.sim ~at:msg.at msg.action)
 
+(* Swap [state] in around [f], without a [Fun.protect] closure: the
+   round loop calls this for every busy member. *)
+let within state f x =
+  let saved = Trace.swap_state state in
+  match f x with
+  | v ->
+    ignore (Trace.swap_state saved);
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Trace.swap_state saved);
+    Printexc.raise_with_backtrace e bt
+
 let with_context t f =
+  match t.trace with None -> f () | Some state -> within state f ()
+
+let context t =
   match t.trace with
-  | None -> f ()
-  | Some state ->
-    let saved = Trace.swap_state state in
-    Fun.protect ~finally:(fun () -> ignore (Trace.swap_state saved)) f
+  | Some state -> state
+  | None -> invalid_arg "Shard: the control shard is driven by its caller"
+
+(* An idle member fires nothing, so its context need not be entered:
+   set the two clocks [run_until] would set and stop there. *)
+let skip_idle t ~limit =
+  let state = context t in
+  match Sim.skip_idle t.sim ~limit with
+  | `Busy -> false
+  | `Unchanged -> true
+  | `Advanced ->
+    Trace.set_now_in state limit;
+    true
 
 let run_to t ~limit =
-  if t.trace = None then
-    invalid_arg "Shard.run_to: the control shard is driven by its caller";
-  with_context t (fun () -> Sim.run_until t.sim ~limit)
+  if not (skip_idle t ~limit) then
+    within (context t) (fun limit -> Sim.run_until t.sim ~limit) limit
 
 let records t =
   match t.ring with None -> [] | Some ring -> Trace.Ring.records ring

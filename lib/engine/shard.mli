@@ -59,9 +59,17 @@ val deliver : t -> message -> unit
 
 val run_to : t -> limit:Sim_time.t -> unit
 (** Run this shard's simulator to [limit] with the shard's recorder
-    context swapped in, restoring the caller's context afterwards.
-    Safe to call from any domain; on the control shard it raises
-    [Invalid_argument] (the caller drives the control sim). *)
+    context swapped in, restoring the caller's context afterwards —
+    or, when nothing is due by [limit], take the {!skip_idle} fast
+    path.  Safe to call from any domain; on the control shard it
+    raises [Invalid_argument] (the caller drives the control sim). *)
+
+val skip_idle : t -> limit:Sim_time.t -> bool
+(** [true] when nothing can fire on this shard by [limit]
+    ({!Sim.skip_idle}): the simulator clock, stop flag and recorder
+    clock are then left exactly as {!run_to} would leave them, without
+    entering the shard's recorder context.  [false] touches nothing.
+    Raises [Invalid_argument] on the control shard. *)
 
 val with_context : t -> (unit -> 'a) -> 'a
 (** Run [f] with this shard's recorder context installed, restoring

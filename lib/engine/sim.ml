@@ -85,5 +85,20 @@ let run_until t ~limit =
     Trace.set_now limit
   end
 
+let next_time_lower_bound t = Wheel.next_time_lower_bound t.wheel
+
+let skip_idle t ~limit =
+  if Wheel.next_time_lower_bound t.wheel <= limit then `Busy
+  else begin
+    (* Nothing can fire by [limit]: [run_until] would only reset the
+       stop flag and move the clock. *)
+    t.stopping <- false;
+    if t.clock < limit then begin
+      t.clock <- limit;
+      `Advanced
+    end
+    else `Unchanged
+  end
+
 let stop t = t.stopping <- true
 let events_fired t = t.fired

@@ -66,6 +66,21 @@ val run_until : t -> limit:Sim_time.t -> unit
 (** Run events with timestamp [<= limit], then advance the clock to
     [limit].  Events scheduled beyond [limit] stay pending. *)
 
+val next_time_lower_bound : t -> Sim_time.t
+(** A lower bound on the time of the next event to fire ([max_int]
+    when the queue is empty), computed without side effects.
+    Cancelled events not yet reclaimed can make it early, never
+    late. *)
+
+val skip_idle : t -> limit:Sim_time.t -> [ `Busy | `Advanced | `Unchanged ]
+(** [run_until t ~limit] for a simulator with nothing due by [limit]:
+    when {!next_time_lower_bound} is past [limit], reset the stop flag
+    and move the clock to [limit] exactly as {!run_until} would, but
+    leave the trace clock to the caller — [`Advanced] says the clock
+    moved (where [run_until] would also have called
+    [Trace.set_now limit]), [`Unchanged] that it was already there.
+    [`Busy] means an event may be due and nothing was touched. *)
+
 val stop : t -> unit
 (** Request that [run] / [run_until] return after the current event. *)
 

@@ -215,3 +215,22 @@ and refill t ~limit =
       t.spill <- take t.spill;
       next_before t ~limit
     end
+
+(* Read-only: the extracted tick's time, else the base of the first
+   occupied slot of the lowest non-empty level, else the spill head.
+   Every pending entry lies at or after it; a slot (or the tick)
+   holding only tombstones makes it early, never late. *)
+let next_time_lower_bound t =
+  match t.cur with
+  | _ :: _ -> t.wt
+  | [] ->
+    let l = ref 0 in
+    while !l < levels && t.occ.(!l) = 0 do
+      incr l
+    done;
+    if !l < levels then begin
+      let l = !l in
+      let shift = (l + 1) * slot_bits in
+      ((t.wt lsr shift) lsl shift) lor (ctz t.occ.(l) lsl (l * slot_bits))
+    end
+    else match t.spill with [] -> max_int | e :: _ -> e.time

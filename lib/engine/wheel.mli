@@ -64,3 +64,9 @@ val next_before : t -> limit:int -> (int * int * (unit -> unit)) option
     leaves every entry with [time > limit] pending — otherwise.  The
     wheel clock never advances past [min limit (earliest pending)],
     so later [add]s at any [time >= limit] remain valid. *)
+
+val next_time_lower_bound : t -> int
+(** A lower bound on the time of the earliest live entry ([max_int]
+    when nothing is stored), computed without touching the wheel.
+    Cancelled entries not yet reclaimed can make it early, never
+    late: no live entry fires before it. *)

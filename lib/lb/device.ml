@@ -467,9 +467,12 @@ let send t conn req =
              { conn = hit; worker; bytes = req.Request.size; copied });
       Worker.note_spliced_redirect t.workers_arr.(worker);
       let kernel_time = Cost.cycles_to_time cycles in
+      (* Bytes already forwarded are delivered even if a FIN (the
+         close marker, possibly sent in the same instant) is handled
+         first; only a reset discards the chunk in flight. *)
       ignore
         (Sim.schedule_after t.sim ~delay:kernel_time (fun () ->
-             if Conn.is_open conn then
+             if conn.Conn.state <> Conn.Reset then
                splice_request_done t conn req ~kernel_time));
       true)
   | Some _ | None -> Worker.deliver t.workers_arr.(conn.Conn.worker_id) conn req

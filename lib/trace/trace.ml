@@ -760,3 +760,6 @@ module Binary = struct
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
 end
+
+(* [set_now] on a state that is not installed (idle shards). *)
+let set_now_in s t = if A.get active_sinks > 0 then s.clock <- t

@@ -155,6 +155,11 @@ val swap_state : state -> state
     {!emit} / {!set_now} / {!install} calls on this domain act on [s]
     until the next swap. *)
 
+val set_now_in : state -> int -> unit
+(** [set_now_in s t] is what {!set_now}[ t] does while [s] is
+    installed, without installing it: lets a caller move an idle
+    shard's clock without the domain-local swap. *)
+
 (** {1 Ring buffer} *)
 
 module Ring : sig

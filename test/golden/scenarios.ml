@@ -23,7 +23,12 @@
    - [splice_handoff] the in-kernel splice fast path: sockmap attach on
                       accept, redirect per payload chunk, teardown on
                       close — plus the reason=isolate sweep when a
-                      worker is pulled *)
+                      worker is pulled
+   - [cluster_drain]  the sharded cluster: three Hermes devices, each
+                      its own logical process behind the coordinator's
+                      rounds, one drained out of rotation and removed
+                      once empty, one losing a worker to a crash; the
+                      capture is the merged per-device trace *)
 
 let ms = Engine.Sim_time.ms
 let us = Engine.Sim_time.us
@@ -143,6 +148,49 @@ let splice_handoff () =
          Lb.Device.isolate_worker device 1));
   Engine.Sim.run_until sim ~limit:(ms 20)
 
+let cluster_drain () =
+  let module C = Cluster.Lb_cluster in
+  let sim = Engine.Sim.create () in
+  let rng = Engine.Rng.create 7 in
+  let tenants = Netsim.Tenant.population ~n:1 ~base_dport:20000 in
+  let cluster =
+    C.create ~sim ~rng ~tenants ~devices:3
+      ~mode:(Lb.Device.Hermes Hermes.Config.default) ~workers:2
+      ~trace_capacity:65536 ()
+  in
+  let events =
+    {
+      C.null_events with
+      established =
+        (fun h ->
+          C.send h
+            (Lb.Request.make ~id:(C.fresh_id cluster) ~op:Lb.Request.Plain_proxy
+               ~size:200 ~cost:(us 300) ~tenant_id:0));
+      request_done = (fun h _ -> C.close h);
+    }
+  in
+  for i = 0 to 11 do
+    ignore
+      (Engine.Sim.schedule sim
+         ~at:(Engine.Sim_time.add (ms 1) (us 500 * i))
+         (fun () -> C.connect cluster ~tenant:0 ~events))
+  done;
+  ignore
+    (Engine.Sim.schedule sim ~at:(ms 3) (fun () ->
+         C.drain_device cluster 0;
+         C.remove_when_drained cluster 0 ~poll:(ms 1) ~on_removed:ignore ()));
+  ignore
+    (Engine.Sim.schedule sim ~at:(ms 4) (fun () ->
+         C.run_on cluster ~slot:1 (fun dev -> Lb.Device.crash_worker dev 0)));
+  Engine.Sim.run_until sim ~limit:(ms 14);
+  (* Replay the merged member streams into the installed sink. *)
+  List.iter
+    (fun (r : Trace.record) ->
+      Trace.set_now r.Trace.time;
+      Trace.emit r.Trace.event)
+    (C.merged_trace cluster);
+  C.shutdown cluster
+
 let all =
   [
     {
@@ -172,6 +220,13 @@ let all =
         "# scenario splice_handoff: splice mode, 4 workers, 6 two-chunk conns, \
          isolate at 4ms";
       run = splice_handoff;
+    };
+    {
+      name = "cluster_drain";
+      header =
+        "# scenario cluster_drain: 3 Hermes devices x 2 workers as shards, \
+         drain+remove slot 0 at 3ms, crash a worker of slot 1 at 4ms";
+      run = cluster_drain;
     };
   ]
 

@@ -480,6 +480,40 @@ end
 module Wheel_replay = Replay (Engine.Sim)
 module Heap_replay = Replay (Engine.Ref_heap)
 
+(* [Sim.next_time_lower_bound], read at every [DUntil] checkpoint, must
+   not exceed the time of the next event to fire.  Events scheduled
+   after the checkpoint may legitimately fire earlier than the bound,
+   so the floor the next firing is held to is the bound lowered by
+   every later schedule time. *)
+let lower_bound_holds prog =
+  let module S = Engine.Sim in
+  let sim = S.create () in
+  let floor = ref min_int in (* [min_int]: no checkpoint armed *)
+  let ok = ref true in
+  let handles = ref [] in
+  let n_handles = ref 0 in
+  let fired () =
+    if S.now sim < !floor then ok := false;
+    floor := min_int
+  in
+  List.iter
+    (function
+      | DSched (at, _) ->
+        let at = S.now sim + at in
+        if !floor <> min_int then floor := min !floor at;
+        handles := S.schedule sim ~at fired :: !handles;
+        incr n_handles
+      | DCancel i ->
+        if !n_handles > 0 then S.cancel sim (List.nth !handles (i mod !n_handles))
+      | DUntil lim ->
+        S.run_until sim ~limit:(max lim (S.now sim));
+        floor := S.next_time_lower_bound sim;
+        (* only tombstones can hold the bound below [max_int] *)
+        if S.occupancy sim = 0 && !floor <> max_int then ok := false)
+    prog;
+  S.run_until sim ~limit:10_000_000;
+  !ok
+
 let prop_wheel_matches_heap =
   let gen =
     QCheck.Gen.(
@@ -498,7 +532,7 @@ let prop_wheel_matches_heap =
     (fun prog ->
       let wl, wf, wn = Wheel_replay.run prog in
       let hl, hf, hn = Heap_replay.run prog in
-      wl = hl && wf = hf && wn = hn)
+      wl = hl && wf = hf && wn = hn && lower_bound_holds prog)
 
 (* Property: events always fire in non-decreasing time order, whatever
    the scheduling pattern. *)
@@ -753,6 +787,75 @@ let test_deque_owner_assert () =
   let stolen = Domain.spawn (fun () -> Engine.Task_deque.steal d) |> Domain.join in
   Alcotest.(check (option int)) "steal from non-owner allowed" (Some 1) stolen
 
+(* ------------------------------------------------------------------ *)
+(* Coordinator rounds: the idle-member fast path                        *)
+
+(* An idle member (its next event lies past the horizon) is advanced
+   without entering its recorder context.  Its simulator clock and the
+   recorder clock seen inside its context must match a twin shard run
+   the long way, [Sim.run_until] under [Shard.with_context]; a member
+   with an event exactly at the horizon is busy and fires it in the
+   same round.  Covered for the inline ([domains = 1]) and pool paths,
+   with and without an ambient sink and per-shard rings. *)
+let check_idle_round ~domains ~ambient ~trace_capacity =
+  let module C = Engine.Coordinator in
+  let module Sh = Engine.Shard in
+  let module S = Engine.Sim in
+  let horizon = 5_000 in
+  let run () =
+    let control = Sh.control ~sim:(S.create ()) in
+    let coord = C.create ~control ~domains in
+    let idle = Sh.create ~id:1 ?trace_capacity () in
+    let twin = Sh.create ~id:9 ?trace_capacity () in
+    let far = ref 0 in
+    List.iter
+      (fun sh ->
+        ignore (S.schedule (Sh.sim sh) ~at:(3 * horizon) (fun () -> incr far)))
+      [ idle; twin ];
+    let at_horizon = Array.make 2 (-1) in
+    let busy =
+      List.init 2 (fun i ->
+          let sh = Sh.create ~id:(2 + i) ?trace_capacity () in
+          ignore
+            (S.schedule (Sh.sim sh) ~at:horizon (fun () ->
+                 at_horizon.(i) <- S.now (Sh.sim sh)));
+          sh)
+    in
+    List.iter (C.add coord) (idle :: busy);
+    C.advance coord ~horizon;
+    Sh.with_context twin (fun () -> S.run_until (Sh.sim twin) ~limit:horizon);
+    let label what =
+      Printf.sprintf "domains=%d ambient=%b ring=%b: %s" domains ambient
+        (trace_capacity <> None) what
+    in
+    check Alcotest.int (label "idle sim clock at horizon") horizon
+      (S.now (Sh.sim idle));
+    check Alcotest.int (label "idle recorder clock = run_until's")
+      (Sh.with_context twin Trace.now)
+      (Sh.with_context idle Trace.now);
+    check Alcotest.(array int) (label "horizon events fired in the round")
+      [| horizon; horizon |] at_horizon;
+    check Alcotest.int (label "far event still pending") 1
+      (S.pending_count (Sh.sim idle));
+    C.advance coord ~horizon:(3 * horizon);
+    check Alcotest.int (label "far event fires when due") 1 !far;
+    C.shutdown coord
+  in
+  if ambient then Trace.with_sink { Trace.write = ignore; close = ignore } run
+  else run ()
+
+let test_coordinator_idle_fast_path () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun ambient ->
+          List.iter
+            (fun trace_capacity ->
+              check_idle_round ~domains ~ambient ~trace_capacity)
+            [ None; Some 16 ])
+        [ false; true ])
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -815,6 +918,11 @@ let () =
           Alcotest.test_case "cancellation churn bounded" `Quick
             test_wheel_churn_bounded;
           QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+        ] );
+      ( "coordinator",
+        [
+          Alcotest.test_case "idle member fast path" `Quick
+            test_coordinator_idle_fast_path;
         ] );
       ( "task_deque",
         [

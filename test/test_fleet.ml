@@ -79,6 +79,37 @@ let test_cluster_drain_excludes () =
   check Alcotest.bool "drained device gets nothing" true
     (not (List.exists (fun d -> d == drained) !members))
 
+(* Every rotation change (add, drain, remove) between connects must
+   reach [connect]'s choice: each batch lands only on the slots in
+   rotation at the time, the newcomer included, and every connection
+   establishes (a pick of a removed member would lose its mail). *)
+let test_cluster_connect_tracks_rotation () =
+  let module C = Cluster.Lb_cluster in
+  let cluster, sim = make_cluster () in
+  let batch expected =
+    let slots = ref [] in
+    for _ = 1 to 40 do
+      open_one cluster ~on_established:(fun h -> slots := h.C.slot :: !slots)
+    done;
+    Engine.Sim.run_until sim ~limit:(Engine.Sim.now sim + ms 50);
+    check Alcotest.int "all established" 40 (List.length !slots);
+    check
+      Alcotest.(list int)
+      "slots used = rotation" expected
+      (List.sort_uniq compare !slots)
+  in
+  batch [ 0; 1; 2 ];
+  let added = C.add_device cluster ~mode:Lb.Device.Reuseport () in
+  check Alcotest.int "new slot" 3 added;
+  batch [ 0; 1; 2; 3 ];
+  C.drain_device cluster 0;
+  batch [ 1; 2; 3 ];
+  C.remove cluster 1;
+  batch [ 2; 3 ];
+  C.drain_device cluster 3;
+  C.remove cluster 3;
+  batch [ 2 ]
+
 let test_cluster_remove_when_drained () =
   let cluster, sim = make_cluster () in
   (* put one connection on device 1 directly, drain it, then close *)
@@ -317,6 +348,8 @@ let () =
           Alcotest.test_case "spreads" `Quick test_cluster_spreads;
           Alcotest.test_case "send/close roundtrip" `Quick test_cluster_send_close_roundtrip;
           Alcotest.test_case "drain excludes" `Quick test_cluster_drain_excludes;
+          Alcotest.test_case "connect tracks rotation" `Quick
+            test_cluster_connect_tracks_rotation;
           Alcotest.test_case "remove when drained" `Quick test_cluster_remove_when_drained;
           Alcotest.test_case "rolling replace" `Quick test_cluster_rolling_replace;
           Alcotest.test_case "empty rotation" `Quick test_cluster_empty_rotation_fails;

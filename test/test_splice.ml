@@ -310,6 +310,67 @@ let test_desync_strict_blocks_misdelivery () =
     report.Faults.Monitor.violations
 
 (* ------------------------------------------------------------------ *)
+(* A redirected chunk in flight at teardown                             *)
+
+(* One connection sends a chunk large enough that its in-kernel
+   forwarding outlasts the worker's handling of what follows it in the
+   same instant: a FIN (the close marker) or an RST.  The chunk was
+   forwarded before either, so a FIN must not lose it; an RST discards
+   it. *)
+let run_chunk_then_teardown ~reset =
+  let sim = Engine.Sim.create () in
+  let rng = Engine.Rng.create 11 in
+  let tenants = Netsim.Tenant.population ~n:1 ~base_dport:20000 in
+  let device =
+    Lb.Device.create ~sim ~rng ~mode:Lb.Device.Splice ~workers:2 ~tenants ()
+  in
+  Lb.Device.start device;
+  let torn_down_at = ref None in
+  let note_teardown _ = torn_down_at := Some (Engine.Sim.now sim) in
+  let events =
+    {
+      Lb.Device.established =
+        (fun conn ->
+          let req =
+            Lb.Request.make ~id:(Lb.Device.fresh_id device)
+              ~op:Lb.Request.Plain_proxy ~size:(16 * 1024 * 1024)
+              ~cost:(ST.us 30) ~tenant_id:conn.Lb.Conn.tenant_id
+          in
+          check Alcotest.bool "chunk redirected" true
+            (Lb.Device.send device conn req);
+          if reset then
+            Lb.Worker.reset_connection
+              (Lb.Device.worker device conn.Lb.Conn.worker_id)
+              conn
+          else Lb.Device.close_conn device conn);
+      request_done = (fun _ _ -> ());
+      closed = note_teardown;
+      reset = note_teardown;
+      dispatch_failed = (fun () -> Alcotest.fail "dispatch failed");
+    }
+  in
+  ignore
+    (Engine.Sim.schedule sim ~at:(ST.us 100) (fun () ->
+         Lb.Device.connect device ~tenant:0 ~events));
+  Engine.Sim.run_until sim ~limit:(ST.ms 50);
+  let stats =
+    match Lb.Device.splice device with
+    | Some sp -> Lb.Splice.stats sp
+    | None -> Alcotest.fail "splice device has no splice plane"
+  in
+  check Alcotest.int "one redirect" 1 stats.Lb.Splice.redirects;
+  check Alcotest.bool "torn down" true (!torn_down_at <> None);
+  Lb.Device.completed device
+
+let test_chunk_survives_close () =
+  check Alcotest.int "chunk completes despite the FIN" 1
+    (run_chunk_then_teardown ~reset:false)
+
+let test_chunk_lost_on_reset () =
+  check Alcotest.int "chunk discarded by the RST" 0
+    (run_chunk_then_teardown ~reset:true)
+
+(* ------------------------------------------------------------------ *)
 (* Fixed-seed splice vs proxy: same traffic, cheaper requests           *)
 
 let run_workload_leg mode =
@@ -370,6 +431,13 @@ let () =
             `Quick test_desync_sloppy_misdelivers_and_is_caught;
           Alcotest.test_case "strict userspace blocks misdelivery" `Quick
             test_desync_strict_blocks_misdelivery;
+        ] );
+      ( "teardown",
+        [
+          Alcotest.test_case "redirected chunk survives a same-instant close"
+            `Quick test_chunk_survives_close;
+          Alcotest.test_case "redirected chunk is lost on reset" `Quick
+            test_chunk_lost_on_reset;
         ] );
       ( "workload",
         [
