@@ -1,45 +1,31 @@
 (* Benchmark harness.
 
-   Two parts:
    1. Regeneration of every table and figure in the paper's evaluation,
       via the experiments registry (the shapes to compare against the
       paper are recorded in EXPERIMENTS.md).
-   2. Bechamel micro-benchmarks of the Hermes hot paths: the bit
-      twiddling the eBPF dispatcher relies on, WST updates and
+   2. The gated bench groups of [Bench.Groups] (sched, dispatch, chaos,
+      cluster, conn, splice): one row format, one table per group, one
+      baseline file (BENCH.json) and one regression gate.
+   3. Bechamel micro-benchmarks of the Hermes hot paths ("micro"): the
+      bit twiddling the eBPF dispatcher relies on, WST updates and
       snapshots, a full Algo 1 scheduling pass, the Algo 2 program
       under the interpreter, and the supporting codecs.
-
-   Three parts — the third is the scheduler regression harness of
-   Sched_bench: timing-wheel vs binary-heap scenarios, JSON emission
-   and the speedup-ratio gate.
-
-   Four parts — the fourth is the dispatch fast-path harness of
-   Dispatch_bench: rank-select reuseport, bitmap scheduler and the
-   eBPF closure JIT vs their retired baselines, with a speedup-ratio
-   plus zero-allocation gate against BENCH_PR4.json.
-
-   Five parts — the fifth is the sharded-cluster scaling harness of
-   Cluster_bench: the same cluster program under 1/2/4/8 worker
-   domains, with a behaviour (completed-count) gate and a
-   machine-shape-aware speedup gate against BENCH_PR6.json.
 
    Usage:
      dune exec bench/main.exe                 # everything, full size
      dune exec bench/main.exe -- --quick      # shrunken runs
-     dune exec bench/main.exe -- table3 fig13 # selected experiments
-     dune exec bench/main.exe -- --micro-only
-     dune exec bench/main.exe -- --sched-only --json        # write BENCH_PR3.json
-     dune exec bench/main.exe -- --sched-only --quick \
-       --json=BENCH_CI.json --check=BENCH_PR3.json          # CI gate
-     dune exec bench/main.exe -- --dispatch-only --dispatch-json  # BENCH_PR4.json
-     dune exec bench/main.exe -- --dispatch-only --quick \
-       --dispatch-json=BENCH_DISPATCH_CI.json --dispatch-check=BENCH_PR4.json
-     dune exec bench/main.exe -- --cluster-only --cluster-json  # BENCH_PR6.json
-     dune exec bench/main.exe -- --cluster-only --quick \
-       --cluster-json=BENCH_CLUSTER_CI.json --cluster-check=BENCH_PR6.json
-     dune exec bench/main.exe -- --splice-only --splice-json   # BENCH_PR9.json
-     dune exec bench/main.exe -- --splice-only --quick \
-       --splice-json=BENCH_SPLICE_CI.json --splice-check=BENCH_PR9.json *)
+     dune exec bench/main.exe -- table3 fig13 # selected experiments, then
+                                              # every group
+     dune exec bench/main.exe -- --only micro
+     dune exec bench/main.exe -- --only sched,conn --json   # merge into BENCH.json
+     dune exec bench/main.exe -- --quick \
+       --only sched,dispatch,chaos,cluster,conn,splice \
+       --json=BENCH_CI.json --check=BENCH.json              # CI gate
+
+   [--only] skips the experiments.  With more than one group selected,
+   each runs in a process of its own ([run_apart]).  [--json] merges
+   this run's rows into FILE by (group, name, size); [--check] gates
+   them against FILE and exits 1 on a regression. *)
 
 open Bechamel
 open Toolkit
@@ -183,73 +169,70 @@ let run_micro () =
     micro_tests;
   Stats.Table.print table
 
-(* [--json] / [--check] take an optional [=FILE]; the bare form uses
-   the committed baseline file. *)
-let opt_file ~flag ~default args =
-  let prefix = flag ^ "=" in
-  List.fold_left
-    (fun acc a ->
-      if a = flag then Some default
-      else if
-        String.length a > String.length prefix
-        && String.sub a 0 (String.length prefix) = prefix
-      then Some (String.sub a (String.length prefix) (String.length a - String.length prefix))
-      else acc)
-    None args
+(* Run group [g] in a process of its own: this executable with
+   [--only g --json=TMP].  With several groups selected each gets a
+   fresh heap, as the per-group CI runs it replaces did, so neither a
+   group's wall-clock ratios nor the soak's peak RSS depend on which
+   groups ran before it in the same process. *)
+let run_apart (g : Bench.Gate.group) ~quick =
+  let file = Filename.temp_file ("bench-" ^ g.id) ".json" in
+  Sys.remove file;
+  let args =
+    [ Sys.executable_name; "--only"; g.id; "--json=" ^ file ]
+    @ if quick then [ "--quick" ] else []
+  in
+  flush_all ();
+  let pid =
+    Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin Unix.stdout
+      Unix.stderr
+  in
+  match (Unix.waitpid [] pid, Bench.Row.read file) with
+  | (_, Unix.WEXITED 0), Ok rows ->
+    Sys.remove file;
+    rows
+  | _ ->
+    Printf.eprintf "bench: group %s failed\n" g.id;
+    exit 1
+
+let usage () =
+  prerr_endline
+    "usage: main.exe [--quick] [--only G[,G...]] [--json[=FILE]] \
+     [--check[=FILE]] [EXPERIMENT...]\n\
+     groups: micro, sched, dispatch, chaos, cluster, conn, splice; FILE \
+     defaults to BENCH.json";
+  exit 2
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let micro_only = List.mem "--micro-only" args in
-  let no_micro = List.mem "--no-micro" args in
-  let sched_only = List.mem "--sched-only" args in
-  let no_sched = List.mem "--no-sched" args in
-  let dispatch_only = List.mem "--dispatch-only" args in
-  let no_dispatch = List.mem "--no-dispatch" args in
-  let json_file = opt_file ~flag:"--json" ~default:"BENCH_PR3.json" args in
-  let check_file = opt_file ~flag:"--check" ~default:"BENCH_PR3.json" args in
-  let djson_file =
-    opt_file ~flag:"--dispatch-json" ~default:"BENCH_PR4.json" args
+  let quick = ref false and only = ref None and json = ref None in
+  let check = ref None and ids = ref [] in
+  let rec parse = function
+    | [] -> ()
+    | "--quick" :: rest ->
+      quick := true;
+      parse rest
+    | "--only" :: groups :: rest ->
+      only := Some (String.split_on_char ',' groups);
+      parse rest
+    | a :: rest ->
+      let flag, file =
+        match String.index_opt a '=' with
+        | Some i -> (String.sub a 0 i, String.sub a (i + 1) (String.length a - i - 1))
+        | None -> (a, "BENCH.json")
+      in
+      (match flag with
+      | "--json" -> json := Some file
+      | "--check" -> check := Some file
+      | _ when a <> "" && a.[0] <> '-' -> ids := a :: !ids
+      | _ -> usage ());
+      parse rest
   in
-  let dcheck_file =
-    opt_file ~flag:"--dispatch-check" ~default:"BENCH_PR4.json" args
-  in
-  let chaos_only = List.mem "--chaos-only" args in
-  let no_chaos = List.mem "--no-chaos" args in
-  let cjson_file =
-    opt_file ~flag:"--chaos-json" ~default:"BENCH_CHAOS.json" args
-  in
-  let ccheck_file =
-    opt_file ~flag:"--chaos-check" ~default:"BENCH_CHAOS.json" args
-  in
-  let cluster_only = List.mem "--cluster-only" args in
-  let no_cluster = List.mem "--no-cluster" args in
-  let kjson_file =
-    opt_file ~flag:"--cluster-json" ~default:"BENCH_PR6.json" args
-  in
-  let kcheck_file =
-    opt_file ~flag:"--cluster-check" ~default:"BENCH_PR6.json" args
-  in
-  let conn_only = List.mem "--conn-only" args in
-  let no_conn = List.mem "--no-conn" args in
-  let njson_file = opt_file ~flag:"--conn-json" ~default:"BENCH_PR8.json" args in
-  let ncheck_file =
-    opt_file ~flag:"--conn-check" ~default:"BENCH_PR8.json" args
-  in
-  let splice_only = List.mem "--splice-only" args in
-  let no_splice = List.mem "--no-splice" args in
-  let pjson_file =
-    opt_file ~flag:"--splice-json" ~default:"BENCH_PR9.json" args
-  in
-  let pcheck_file =
-    opt_file ~flag:"--splice-check" ~default:"BENCH_PR9.json" args
-  in
-  let ids = List.filter (fun a -> String.length a > 0 && a.[0] <> '-') args in
-  if
-    (not micro_only) && (not sched_only) && (not dispatch_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
+  parse (List.tl (Array.to_list Sys.argv));
+  let quick = !quick in
+  let ids = List.rev !ids in
+  let selected g = match !only with None -> true | Some gs -> List.mem g gs in
+  let known = "micro" :: List.map (fun g -> g.Bench.Gate.id) Bench.Groups.all in
+  Option.iter (List.iter (fun g -> if not (List.mem g known) then usage ())) !only;
+  if !only = None then begin
     match ids with
     | [] -> Experiments.Registry.run_all ~quick ()
     | ids ->
@@ -262,94 +245,22 @@ let () =
             exit 1)
         ids
   end;
-  if
-    (not no_sched) && (not micro_only) && (not dispatch_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Sched_bench.run_all ~quick () in
-    Sched_bench.print_table results;
-    (match json_file with
-    | Some file -> Sched_bench.write_json ~file results
-    | None -> ());
-    match check_file with
-    | Some baseline -> if not (Sched_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_dispatch) && (not micro_only) && (not sched_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Dispatch_bench.run_all ~quick () in
-    Dispatch_bench.print_table results;
-    (match djson_file with
-    | Some file -> Dispatch_bench.write_json ~file results
-    | None -> ());
-    match dcheck_file with
-    | Some baseline ->
-      if not (Dispatch_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_chaos) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Chaos_bench.run_all ~quick () in
-    Chaos_bench.print_table results;
-    (match cjson_file with
-    | Some file -> Chaos_bench.write_json ~file results
-    | None -> ());
-    match ccheck_file with
-    | Some baseline -> if not (Chaos_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_cluster) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not chaos_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Cluster_bench.run_all ~quick () in
-    Cluster_bench.print_table results;
-    (match kjson_file with
-    | Some file -> Cluster_bench.write_json ~file results
-    | None -> ());
-    match kcheck_file with
-    | Some baseline ->
-      if not (Cluster_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_conn) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not chaos_only) && (not cluster_only)
-    && not splice_only
-  then begin
-    let results = Conn_bench.run_all ~quick () in
-    Conn_bench.print_table results;
-    (match njson_file with
-    | Some file -> Conn_bench.write_json ~file results
-    | None -> ());
-    match ncheck_file with
-    | Some baseline -> if not (Conn_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_splice) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not chaos_only) && (not cluster_only)
-    && not conn_only
-  then begin
-    let results = Splice_bench.run_all ~quick () in
-    Splice_bench.print_table results;
-    (match pjson_file with
-    | Some file -> Splice_bench.write_json ~file results
-    | None -> ());
-    match pcheck_file with
-    | Some baseline -> if not (Splice_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_micro) && (not sched_only) && (not dispatch_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then run_micro ()
+  let groups = List.filter (fun g -> selected g.Bench.Gate.id) Bench.Groups.all in
+  let rows =
+    match groups with
+    | [ g ] ->
+      let rows = Bench.Gate.run g ~quick in
+      Bench.Row.print ~title:g.title rows;
+      rows
+    | groups -> List.concat_map (run_apart ~quick) groups
+  in
+  Option.iter (fun file -> Bench.Row.write ~file rows) !json;
+  (match !check with
+  | None -> ()
+  | Some file -> (
+    match Bench.Row.read file with
+    | Ok baseline -> if not (Bench.Gate.check Bench.Groups.all ~baseline rows) then exit 1
+    | Error e ->
+      Printf.eprintf "bench: baseline %s\n" e;
+      exit 1));
+  if selected "micro" then run_micro ()

@@ -86,7 +86,7 @@ let parse_time s =
   in
   let with_unit mult digits =
     match int_of_string_opt digits with
-    | Some v when v >= 0 -> Ok (v * mult)
+    | Some v when v >= 0 && v <= max_int / mult -> Ok (v * mult)
     | _ -> Error (Printf.sprintf "bad time %S" s)
   in
   (* "ns"/"us"/"ms" before "s": "ms" also ends in "s". *)

@@ -89,7 +89,7 @@ let parse_request s =
             | None -> 0
             | Some v -> ( try max 0 (int_of_string (String.trim v)) with _ -> 0)
           in
-          if String.length s < body_start + content_len then Error Truncated
+          if content_len > String.length s - body_start then Error Truncated
           else
             let body = String.sub s body_start content_len in
             Ok ({ meth; target; version; headers; body }, body_start + content_len)

@@ -50,7 +50,10 @@ let test_plan_parse_errors () =
   bad "missing duration" "at 1s hang worker=1\n";
   bad "bad time" "at soon crash worker=1\n";
   bad "bad shape" "crash at 1s worker=1\n";
-  bad "unknown key" "at 1s crash worker=1 blast=3\n"
+  bad "unknown key" "at 1s crash worker=1 blast=3\n";
+  (* v * unit overflows int: must not wrap to a negative time *)
+  bad "overflowing at" "at 4611686018427387s crash worker=0\n";
+  bad "overflowing duration" "at 1s hang worker=0 duration=9223372036854775ms\n"
 
 let test_plan_lint () =
   let plan =
@@ -226,6 +229,20 @@ let test_replay_determinism =
       let t2, n2 = render_run ~plan ~seed:7 in
       n1 = n2 && String.equal t1 t2)
 
+(* Property: any input, random or a mutated valid plan, parses to a
+   typed result without raising, and an accepted plan round-trips. *)
+let test_parse_fuzz =
+  QCheck.Test.make ~count:2000 ~name:"plan parse never raises"
+    (Fuzz.arb_input
+       ~tokens:
+         [ "4611686018427387s"; "9223372036854775ms"; "4611686018427387903"; "-1";
+           "ms"; "="; " "; "\n"; "at"; "#" ]
+       (QCheck.Gen.map Plan.to_string (QCheck.gen arb_plan)))
+    (fun text ->
+      match Plan.parse text with
+      | Ok plan -> Plan.parse (Plan.to_string plan) = Ok plan
+      | Error _ -> true)
+
 let test_different_seed_differs () =
   (* Sanity for the property above: the trace is seed-sensitive, so
      byte equality is not vacuous. *)
@@ -246,6 +263,7 @@ let () =
           Alcotest.test_case "lint rejects bad targets" `Quick test_plan_lint;
           Alcotest.test_case "builtin plan lints clean" `Quick
             test_builtin_plan_lints_clean;
+          QCheck_alcotest.to_alcotest test_parse_fuzz;
         ] );
       ( "staleness",
         [

@@ -39,6 +39,9 @@ let test_http_truncated () =
       "GET / HTTP/1.1";
       "GET / HTTP/1.1\r\nHost: a";
       "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
+      (* body_start + length overflows past the bounds check *)
+      "POST / HTTP/1.1\r\nContent-Length: 4611686018427387903\r\n\r\nx";
+      "POST / HTTP/1.1\r\nContent-Length: 0x3fffffffffffffff\r\n\r\nx";
     ]
 
 let test_http_bad_inputs () =
@@ -128,6 +131,20 @@ let prop_http_roundtrip =
         && String.equal req'.Lb.Http.target req.Lb.Http.target
         && String.equal req'.Lb.Http.body req.Lb.Http.body
       | Error _ -> false)
+
+(* Property: any input, random or a mutated valid request, parses to
+   a typed result without raising, and never consumes past its end. *)
+let prop_http_fuzz =
+  QCheck.Test.make ~name:"http parse never raises" ~count:2000
+    (Fuzz.arb_input
+       ~tokens:
+         [ "4611686018427387903"; "0x3fffffffffffffff"; "-5"; "\r\n"; "\r\n\r\n"; ":";
+           "Content-Length: 4611686018427387903\r\n" ]
+       (QCheck.Gen.map Lb.Http.serialize_request gen_request))
+    (fun s ->
+      match Lb.Http.parse_request s with
+      | Ok (_, consumed) -> consumed <= String.length s
+      | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                               *)
@@ -652,6 +669,7 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick test_http_request_roundtrip;
           Alcotest.test_case "status reasons" `Quick test_http_status_reasons;
           QCheck_alcotest.to_alcotest prop_http_roundtrip;
+          QCheck_alcotest.to_alcotest prop_http_fuzz;
         ] );
       ( "router",
         [
