@@ -110,7 +110,6 @@ let group =
     Gate.id = "chaos";
     title = "Chaos bench: p99 per fault class and mode";
     sized = false;
-    cores = false;
     scenarios;
     rules = (fun _ -> [ Gate.Zero "violations"; Gate.Ceiling ("p99_ms", 1.5, 0.5) ]);
   }

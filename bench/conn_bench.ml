@@ -290,7 +290,6 @@ let group =
     Gate.id = "conn";
     title = "Connection-plane benchmarks";
     sized = true;
-    cores = false;
     scenarios;
     rules =
       (function

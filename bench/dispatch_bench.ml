@@ -242,7 +242,6 @@ let group =
     Gate.id = "dispatch";
     title = "Dispatch benchmarks (fast path vs retired baseline)";
     sized = true;
-    cores = false;
     scenarios;
     rules =
       (fun name ->

@@ -13,19 +13,11 @@ type rule =
   | Ceiling of string * float * float
       (** [Ceiling (m, k, slack)]: [m <= k * baseline m + slack], when
           both are measured. *)
-  | Equal_row of string * string
-      (** [Equal_row (m, other)]: [m] equals [m] of row [other] (same
-          group and size) in this run. *)
-  | Speedup of string * string * float
-      (** [Speedup (m, other, k)]: [other.m / m >= k *] the same ratio
-          in the baseline, applied only when the row's [cores] equal the
-          baseline row's (wall-clock ratios are a machine property). *)
 
 type group = {
   id : string;
   title : string;
   sized : bool;  (** rows carry size = full | quick *)
-  cores : bool;  (** rows carry the machine's core count *)
   scenarios : quick:bool -> (string * (unit -> (string * float) list)) list;
   rules : string -> rule list;  (** by row name *)
 }
@@ -38,13 +30,7 @@ let keys g ~quick =
 let run g ~quick =
   List.map
     (fun (name, metrics) ->
-      {
-        Row.group = g.id;
-        name;
-        size = size g ~quick;
-        cores = (if g.cores then Some (Domain.recommended_domain_count ()) else None);
-        metrics = metrics ();
-      })
+      { Row.group = g.id; name; size = size g ~quick; metrics = metrics () })
     (g.scenarios ~quick)
 
 let check groups ~baseline rows =
@@ -55,9 +41,6 @@ let check groups ~baseline rows =
         prerr_endline m;
         ok := false)
       fmt
-  in
-  let find rows (group, name, size) =
-    List.find_opt (fun r -> Row.key r = (group, name, size)) rows
   in
   List.iter
     (fun (r : Row.t) ->
@@ -93,35 +76,9 @@ let check groups ~baseline rows =
           | Some v, Some base when v >= 0.0 && base >= 0.0 && v > (k *. base) +. slack ->
             fail "bench REGRESSION: %s %s %g > %g * baseline %g + %g" what m v k base slack
           | _ -> ())
-        | Equal_row (m, other) -> (
-          match find rows (r.group, other, r.size) with
-          | None -> fail "bench: %s: no %s row in this run" what other
-          | Some o -> (
-            match (get r m, get o m) with
-            | Some v, Some v' when v <> v' ->
-              fail "bench REGRESSION: %s %s %g <> %s's %g" what m v other v'
-            | _ -> ()))
-        | Speedup (m, other, k) ->
-          if r.cores <> b.cores then
-            Printf.printf
-              "bench: %s: baseline cores=%s, machine cores=%s; skipping its speedup gate\n"
-              what
-              (Option.fold b.cores ~none:"?" ~some:string_of_int)
-              (Option.fold r.cores ~none:"?" ~some:string_of_int)
-          else (
-            match (find rows (r.group, other, r.size), find baseline (r.group, other, r.size)) with
-            | Some o, Some bo -> (
-              match (get r m, get o m, get b m, get bo m) with
-              | Some v, Some ov, Some bv, Some bov when v > 0. && bv > 0. && bov > 0. ->
-                let speedup = ov /. v and base = bov /. bv in
-                if speedup < k *. base then
-                  fail "bench REGRESSION: %s speedup over %s %.2fx < %g * baseline %.2fx" what
-                    other speedup k base
-              | _ -> ())
-            | _ -> ())
       in
       let g = List.find (fun g -> g.id = r.group) groups in
-      match find baseline (Row.key r) with
+      match List.find_opt (fun b -> Row.key b = Row.key r) baseline with
       | None -> fail "bench: no baseline row for %s" what
       | Some b -> List.iter (rule b) (g.rules r.name))
     rows;

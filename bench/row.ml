@@ -5,15 +5,13 @@
    A row is keyed by (group, name, size).  [size] is "full" or
    "quick" for groups whose scenarios shrink under [--quick] (the gate
    only ever compares same-size rows) and absent for groups whose
-   scenarios do not.  [cores] is recorded only by groups whose gates
-   depend on the machine shape.  A metric value of -1 means "not
-   measured on this row or this runtime". *)
+   scenarios do not.  A metric value of -1 means "not measured on this
+   row or this runtime". *)
 
 type t = {
   group : string;
   name : string;
   size : string option;
-  cores : int option;
   metrics : (string * float) list;
 }
 
@@ -56,7 +54,6 @@ let row_to_json r =
   let fields =
     [ ("group", quote r.group); ("name", quote r.name) ]
     @ Option.to_list (Option.map (fun s -> ("size", quote s)) r.size)
-    @ Option.to_list (Option.map (fun c -> ("cores", string_of_int c)) r.cores)
     @ [
         ( "metrics",
           "{"
@@ -175,12 +172,6 @@ let row_of_json = function
     let required k =
       match str k with Some s -> s | None -> raise (Bad ("row without " ^ k))
     in
-    let cores =
-      match List.assoc_opt "cores" fields with
-      | None -> None
-      | Some (Num c) when Float.is_integer c -> Some (int_of_float c)
-      | Some _ -> raise (Bad "cores is not an integer")
-    in
     let metrics =
       match List.assoc_opt "metrics" fields with
       | Some (Obj ms) ->
@@ -191,7 +182,7 @@ let row_of_json = function
           ms
       | _ -> raise (Bad "row without a metrics object")
     in
-    { group = required "group"; name = required "name"; size = str "size"; cores; metrics }
+    { group = required "group"; name = required "name"; size = str "size"; metrics }
   | _ -> raise (Bad "row is not an object")
 
 let of_json s =
@@ -242,8 +233,7 @@ let cell v =
    every metric in first-seen order. *)
 let print ~title rows =
   Printf.printf "\n=== %s ===\n" title;
-  let has f = List.exists f rows in
-  let sized = has (fun r -> r.size <> None) and cored = has (fun r -> r.cores <> None) in
+  let sized = List.exists (fun r -> r.size <> None) rows in
   let metrics =
     List.fold_left
       (fun acc r ->
@@ -252,16 +242,12 @@ let print ~title rows =
   in
   let table =
     Stats.Table.create
-      ~header:
-        ((("scenario" :: (if sized then [ "size" ] else []))
-         @ if cored then [ "cores" ] else [])
-        @ metrics)
+      ~header:(("scenario" :: (if sized then [ "size" ] else [])) @ metrics)
   in
   List.iter
     (fun r ->
       Stats.Table.add_row table
         ((r.name :: (if sized then [ Option.value r.size ~default:"" ] else []))
-        @ (if cored then [ Option.fold r.cores ~none:"" ~some:string_of_int ] else [])
         @ List.map (fun m -> Option.fold (metric r m) ~none:"n/a" ~some:cell) metrics))
     rows;
   Stats.Table.print table

@@ -183,7 +183,6 @@ let group =
     Gate.id = "sched";
     title = "Scheduler benchmarks (wheel vs binary-heap baseline)";
     sized = true;
-    cores = false;
     scenarios;
     rules =
       (fun name ->

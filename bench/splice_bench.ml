@@ -149,7 +149,6 @@ let group =
     Gate.id = "splice";
     title = "Splice benchmarks";
     sized = true;
-    cores = false;
     scenarios;
     rules =
       (fun name ->

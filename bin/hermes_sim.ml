@@ -16,6 +16,10 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
+(* Per-device worker counts: one reuseport slot and one WST row each. *)
+let valid_workers w = w >= 1 && w <= Hermes.Wst.max_workers
+let workers_range = Printf.sprintf "workers must be in 1..%d" Hermes.Wst.max_workers
+
 let with_trace file f =
   match file with
   | None ->
@@ -330,6 +334,7 @@ let chaos_cmd =
         print_string (Faults.Plan.to_string plan);
         `Ok ()
       end
+      else if not (valid_workers workers) then `Error (false, workers_range)
       else
         match Faults.Plan.lint ~workers plan with
         | Error problems ->
@@ -378,11 +383,10 @@ let chaos_cmd =
         (const run $ plan_arg $ seed_arg $ mode_arg $ workers_arg
        $ show_plan_flag $ trace_arg))
 
-(* Sharded cluster runner: the CLI face of Cluster.Lb_cluster.  The
-   printed summary and the JSONL trace depend only on the logical
-   decomposition (devices, seed, lookahead, plan), never on --shards —
-   CI replays the same seed at different shard counts and diffs the
-   trace files byte-for-byte. *)
+(* Cluster runner: the CLI face of Cluster.Lb_cluster.  The printed
+   summary and the JSONL trace depend only on the logical decomposition
+   (devices, seed, lookahead, plan) — CI replays the same seed twice and
+   diffs the trace files byte-for-byte. *)
 let cluster_cmd =
   let devices_arg =
     let doc = "Member devices behind the VIP (\"8 LBs in total\", §6.1)." in
@@ -391,13 +395,6 @@ let cluster_cmd =
   let workers_arg =
     let doc = "Workers per member device." in
     Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
-  in
-  let shards_arg =
-    let doc =
-      "Executing domain count.  Changes wall-clock only; traces and \
-       counters are byte-identical for every value."
-    in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc = "Run seed; same seed replays byte-identically." in
@@ -446,10 +443,12 @@ let cluster_cmd =
     | Some md -> Ok (Lb.Device.of_mode md)
     | None -> Error (Printf.sprintf "unknown mode %S" m)
   in
-  let run devices workers shards seed duration_ms conns reqs lookahead_us
-      mode_name plan_file trace =
+  let run devices workers seed duration_ms conns reqs lookahead_us mode_name
+      plan_file trace =
     if devices < 1 then `Error (false, "devices must be >= 1")
-    else if shards < 1 then `Error (false, "shards must be >= 1")
+    else if not (valid_workers workers) then `Error (false, workers_range)
+    else if Option.fold lookahead_us ~none:false ~some:(fun us -> us < 1) then
+      `Error (false, "lookahead-us must be >= 1")
     else if duration_ms < 1 then `Error (false, "duration-ms must be >= 1")
     else
       let plan =
@@ -473,7 +472,6 @@ let cluster_cmd =
         let tenants = Netsim.Tenant.population ~n:4 ~base_dport:20000 in
         let cluster =
           Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices ~mode ~workers
-            ~shards
             ?lookahead:(Option.map ST.us lookahead_us)
             ?trace_capacity:(if trace = None then None else Some 262144)
             ()
@@ -535,8 +533,8 @@ let cluster_cmd =
                 records;
               close_out oc);
             (* Everything on stdout is deterministic in the logical
-               decomposition; wall-clock goes to stderr so shard-count
-               sweeps can diff stdout too. *)
+               decomposition; wall-clock goes to stderr so replays can
+               diff stdout too. *)
             Printf.printf
               "cluster devices=%d workers=%d mode=%s seed=%d lookahead=%s \
                duration=%dms\n"
@@ -552,7 +550,7 @@ let cluster_cmd =
               (Cluster.Lb_cluster.completed cluster)
               (Cluster.Lb_cluster.dropped cluster);
             Printf.printf "trace records=%d\n" (List.length records);
-            Printf.eprintf "shards=%d wall=%.3fs\n%!" shards wall;
+            Printf.eprintf "wall=%.3fs\n%!" wall;
             if drops > 0 then
               `Error
                 ( false,
@@ -563,20 +561,20 @@ let cluster_cmd =
             else `Ok ())
   in
   let doc =
-    "Run a sharded multi-device cluster simulation; the merged JSONL \
-     trace and the stdout summary are byte-identical for every \
-     $(b,--shards) value."
+    "Run a multi-device cluster simulation, one logical process per \
+     device; the same seed replays the merged JSONL trace and the stdout \
+     summary byte-identically."
   in
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
       ret
-        (const run $ devices_arg $ workers_arg $ shards_arg $ seed_arg
+        (const run $ devices_arg $ workers_arg $ seed_arg
        $ duration_arg $ conns_arg $ reqs_arg $ lookahead_arg $ mode_arg
        $ plan_arg $ trace_arg))
 
-(* Systematic concurrency checking of the engine internals: explore
-   every non-equivalent interleaving of the Task_deque / Coordinator
-   pool / Trace publication harnesses under the DPOR scheduler. *)
+(* Systematic concurrency checking: explore every non-equivalent
+   interleaving of the Trace publication harnesses under the DPOR
+   scheduler. *)
 let mcheck_cmd =
   let scenario_arg =
     let doc =
@@ -587,8 +585,8 @@ let mcheck_cmd =
   in
   let seeded_flag =
     let doc =
-      "Also run the seeded-bug scenarios (historical orderings \
-       deliberately re-introduced behind a flag); those $(b,pass) only \
+      "Also run the seeded-bug scenarios (ordering bugs deliberately \
+       introduced behind a flag); those $(b,pass) only \
        when the checker finds their counterexample, gating the checker \
        itself against regressions."
     in
@@ -597,7 +595,7 @@ let mcheck_cmd =
   let check_flag =
     let doc =
       "Gate mode: non-zero exit if any clean scenario has a \
-       counterexample, an undocumented race or an exhausted budget, or \
+       counterexample, a data race or an exhausted budget, or \
        any seeded scenario fails to produce its counterexample."
     in
     Arg.(value & flag & info [ "check" ] ~doc)
@@ -697,7 +695,7 @@ let mcheck_cmd =
     in
     if selected = [] then `Error (false, "no scenarios selected")
     else begin
-      Printf.printf "%-24s %-6s %9s %8s %6s %6s  %s\n" "scenario" "kind"
+      Printf.printf "%-28s %-6s %9s %8s %6s %6s  %s\n" "scenario" "kind"
         "explored" "pruned" "depth" "races" "verdict";
       let results =
         List.map
@@ -707,7 +705,7 @@ let mcheck_cmd =
             let o = sc.run config in
             let wall = Unix.gettimeofday () -. t0 in
             let pass, reason = Mcheck.Scenarios.evaluate sc o in
-            Printf.printf "%-24s %-6s %9d %8d %6d %6d  %s — %s (%.2fs)\n"
+            Printf.printf "%-28s %-6s %9d %8d %6d %6d  %s — %s (%.2fs)\n"
               sc.name
               (if sc.bug then "seeded" else "clean")
               o.executions o.prunes o.max_depth (List.length o.races)
@@ -715,16 +713,7 @@ let mcheck_cmd =
               reason wall;
             List.iter
               (fun (r : Mcheck.Model.race) ->
-                Printf.printf "  race %-18s %s / %s%s\n" r.loc r.access_a
-                  r.access_b
-                  (if
-                     List.exists
-                       (fun p ->
-                         String.length r.loc >= String.length p
-                         && String.sub r.loc 0 (String.length p) = p)
-                       sc.expected_races
-                   then " (documented benign)"
-                   else " (UNDOCUMENTED)"))
+                Printf.printf "  race %-18s %s / %s\n" r.loc r.access_a r.access_b)
               o.races;
             (match o.counterexample with
             | Some c when (not pass) || not sc.bug ->
@@ -781,9 +770,10 @@ let mcheck_cmd =
     end
   in
   let doc =
-    "Model-check the engine's concurrent internals (work-stealing \
-     deque, coordinator pool, trace publication): explore every \
-     non-equivalent interleaving with dynamic partial-order reduction, \
+    "Model-check the trace sink publication protocol (clean, and with \
+     $(b,--seeded) a late-gate variant that drops a record): explore \
+     every non-equivalent interleaving with dynamic partial-order \
+     reduction, \
      report happens-before races on non-atomic accesses, and print \
      counterexample schedules for assertion failures, deadlocks and \
      lost wakeups."

@@ -9,13 +9,11 @@ module Coordinator = Engine.Coordinator
    LP boundaries as messages with a fixed latency [lookahead], and the
    coordinator advances the fleet in rounds of exactly that width — so
    no LP can ever receive a message inside a window it has already
-   executed (conservative synchronization), whatever the domain count.
+   executed (conservative synchronization).
 
-   The decomposition is the same for every [?shards] value; [shards]
-   only picks how many OCaml domains execute member rounds.  That is
-   the whole determinism argument: schedules, trace sequence numbers
-   and message stamps are functions of the LP decomposition alone, so
-   the merged trace is byte-identical across domain counts. *)
+   That is the whole determinism argument: schedules, trace sequence
+   numbers and message stamps are functions of the LP decomposition
+   alone, so the same seed gives a byte-identical merged trace. *)
 
 type member = {
   slot : int;
@@ -87,6 +85,7 @@ let rec tick t () =
 let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?(shards = 1)
     ?lookahead ?trace_capacity () =
   if devices <= 0 then invalid_arg "Lb_cluster.create: devices must be positive";
+  (* [shards] is accepted for existing callers and has no effect. *)
   if shards <= 0 then invalid_arg "Lb_cluster.create: shards must be positive";
   let lookahead =
     match lookahead with
@@ -100,7 +99,7 @@ let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?(shards = 1)
     {
       sim;
       control;
-      coord = Coordinator.create ~control ~domains:shards;
+      coord = Coordinator.create ~control;
       rng;
       tenants;
       default_workers = workers;
@@ -345,6 +344,5 @@ let shutdown t =
     (match t.tick with
     | Some handle -> Sim.cancel t.sim handle
     | None -> ());
-    t.tick <- None;
-    Coordinator.shutdown t.coord
+    t.tick <- None
   end

@@ -8,7 +8,7 @@
     implements the §6.2 canary: add a new-version device, drain an
     old one, wait, remove, repeat.
 
-    {2 Sharded execution}
+    {2 Logical-process execution}
 
     Every member device owns a private {!Engine.Sim} and runs as one
     logical process; the caller's simulator is the control process that
@@ -22,14 +22,11 @@
     [Sim.run]: the round event re-arms itself, so the queue never
     empties before {!shutdown}.
 
-    [?shards] sets how many OCaml domains execute member rounds; it
-    never affects behaviour, only wall-clock.  Traces, counters and
-    schedules are functions of the logical decomposition alone, which
-    the differential harness pins by comparing {!merged_trace} output
-    byte-for-byte across shard counts.  Touching a device directly
-    (via {!device}) mutates that member's simulator from the control
-    domain and is only safe under [shards = 1] — the default, and what
-    the single-threaded tests and examples use. *)
+    Every member is stepped in turn on the calling domain, so touching
+    a device directly (via {!device}) between rounds is always safe.
+    Traces, counters and schedules are functions of the logical
+    decomposition alone: the same seed gives a byte-identical
+    {!merged_trace}, which the replay differential pins. *)
 
 type t
 
@@ -45,13 +42,15 @@ val create :
   ?trace_capacity:int ->
   unit ->
   t
-(** A cluster of [devices] identical members, all started.  [shards]
-    (default 1) is the executing domain count; [lookahead] (default
-    {!Hermes.Runtime.cross_shard_latency}[ ()]) the cross-process
-    message latency and round width; [trace_capacity] (default off)
-    gives every member a private trace ring of that many records for
-    {!merged_trace}.  Call {!shutdown} when done if [shards > 1] —
-    OCaml caps live domains, so leaked pools starve later clusters. *)
+(** A cluster of [devices] identical members, all started.
+    [lookahead] (default {!Hermes.Runtime.cross_shard_latency}[ ()]) is
+    the cross-process message latency and round width;
+    [trace_capacity] (default off) gives every member a private trace
+    ring of that many records for {!merged_trace}.  [shards] has no
+    effect beyond being checked positive: it is kept only so existing
+    callers still compile.
+    @raise Invalid_argument if [devices], [shards] or [lookahead] is
+    not positive. *)
 
 val size : t -> int
 (** Members currently in the cluster (serving or draining). *)
@@ -60,8 +59,7 @@ val in_rotation : t -> int
 (** Members accepting new connections. *)
 
 val device : t -> int -> Lb.Device.t
-(** Member by slot.  Direct device access is safe only under
-    [shards = 1] (see above).
+(** Member by slot.
     @raise Invalid_argument for a removed slot. *)
 
 val devices : t -> (int * Lb.Device.t) list
@@ -108,7 +106,7 @@ val close : conn_ref -> unit
 val run_on : t -> slot:int -> (Lb.Device.t -> unit) -> unit
 (** Run an arbitrary action against a member {e on the member's own
     process}, one [lookahead] from now — the cross-shard form of
-    direct device access, safe under any shard count.  Fault
+    direct device access, ordered with the member's own events.  Fault
     injections use this: [run_on cluster ~slot (fun dev ->
     Faults.Inject.arm ~device:dev ~plan)] arms the plan on the
     member's simulator.  The action is dropped (with the member) if
@@ -169,7 +167,7 @@ val merged_trace : t -> Trace.record list
 (** All members' trace rings (including removed members'), merged in
     [(time, process id, per-process seq)] order and re-stamped with
     merge-order sequence numbers — one deterministic stream,
-    byte-identical for every [?shards] value.  Empty unless the
+    byte-identical for a given seed.  Empty unless the
     cluster was created with [trace_capacity]. *)
 
 val trace_drops : t -> int
@@ -177,6 +175,5 @@ val trace_drops : t -> int
     {!merged_trace} is truncated and [trace_capacity] was too small. *)
 
 val shutdown : t -> unit
-(** Stop the synchronization rounds and join the worker-domain pool.
-    Idempotent.  Mandatory for [shards > 1] harnesses that build
-    clusters in a loop. *)
+(** Stop the synchronization rounds: cancel the recurring round event,
+    so the control simulator's queue can drain.  Idempotent. *)

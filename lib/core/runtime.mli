@@ -89,6 +89,5 @@ val set_cross_shard_latency : Engine.Sim_time.t -> unit
     [--lookahead]).  Larger values mean fewer synchronization rounds
     but slower control-plane reaction — cross-shard message latency is
     pinned to the lookahead, so this is a {e model} parameter: two
-    runs compare byte-for-byte only under the same lookahead (domain
-    count, by contrast, never affects the trace).
+    runs compare byte-for-byte only under the same lookahead.
     @raise Invalid_argument if the latency is not positive. *)

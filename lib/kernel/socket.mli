@@ -25,7 +25,7 @@ val create_listen : ?id:int -> port:Netsim.Addr.port -> backlog:int -> unit -> t
     counter allocates one.  Devices pass their own per-instance ids so
     socket numbering is a function of one device's creation order
     alone — independent of how devices interleave across simulation
-    shards and domains. *)
+    shards. *)
 
 val id : t -> int
 (** Unique socket id (think inode number); lets callers key tables by

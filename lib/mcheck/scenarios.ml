@@ -1,203 +1,36 @@
-(* Model-check harnesses for the engine's concurrent internals.
+(* Model-check harnesses for the concurrent protocols the simulator
+   still relies on.
 
-   Each scenario is a small, bounded program over {!Model.P} — the
-   deque and pool instantiated with the DPOR scheduler's shim — whose
-   final assertion states the exactly-once / completion contract.
-   Clean scenarios must explore with no counterexample and only the
-   documented benign races; [bug] scenarios deliberately re-introduce
-   a historical ordering bug and the checker must find it (that is the
-   CI regression gate for the checker itself: if exploration or the
-   dependency analysis rots, the seeded bugs stop being found). *)
+   Each scenario is a small, bounded program over {!Model.P} whose
+   final assertion states the protocol's contract.  Clean scenarios
+   must explore with no counterexample and no data race; [bug]
+   scenarios deliberately re-introduce an ordering bug and the checker
+   must find it (that is the CI regression gate for the checker
+   itself: if exploration or the dependency analysis rots, the seeded
+   bugs stop being found). *)
 
 module P = Model.P
-module TD = Engine.Task_deque.Make (Model.P)
-module Pool = Engine.Coordinator.Pool_make (Model.P)
 
 type t = {
   name : string;
   descr : string;
   bug : bool;
-  expected_races : string list;
-  required_races : string list;
   config : Model.config;
   run : Model.config -> Model.outcome;
 }
-
-let claim claims = function Some v -> claims := v :: !claims | None -> ()
-
-let assert_claims ~expect claims =
-  let got = List.sort compare !claims in
-  if got <> List.sort compare expect then
-    failwith
-      (Printf.sprintf "claimed {%s}, want {%s}"
-         (String.concat "," (List.map string_of_int got))
-         (String.concat "," (List.map string_of_int (List.sort compare expect))))
-
-(* Owner pops race one thief for the last element; both sides CAS
-   [top] and exactly one may win.  Also exercises the owner-side sweep
-   of stolen slots (the benign stale-read race on [deq.arr]). *)
-let deque_last_element config =
-  Model.check ~config ~name:"deque_last_element" (fun () ->
-      let d = TD.create ~capacity:2 ~name:"deq" () in
-      let claims = ref [] in
-      TD.push d 1;
-      TD.push d 2;
-      let th =
-        P.Thread.spawn ~name:"thief" (fun () -> claim claims (TD.steal d))
-      in
-      claim claims (TD.pop d);
-      claim claims (TD.pop d);
-      claim claims (TD.pop d);
-      P.Thread.join th;
-      assert_claims ~expect:[ 1; 2 ] claims)
-
-(* Start at capacity 1 and push through two growths while a thief
-   steals concurrently: every element lands in exactly one claimer
-   whichever buffer it was read from. *)
-let deque_grow_steal config =
-  Model.check ~config ~name:"deque_grow_steal" (fun () ->
-      let d = TD.create ~capacity:1 ~name:"deq" () in
-      let claims = ref [] in
-      TD.push d 1;
-      let th =
-        P.Thread.spawn ~name:"thief" (fun () ->
-            for _ = 1 to 2 do
-              claim claims (TD.steal d)
-            done)
-      in
-      TD.push d 2;
-      TD.push d 3;
-      let rec drain () =
-        match TD.pop d with
-        | Some v ->
-          claims := v :: !claims;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      P.Thread.join th;
-      (* the thief may have claimed 0–2 of them; drain the tail *)
-      drain ();
-      assert_claims ~expect:[ 1; 2; 3 ] claims)
-
-(* BUG: a second thread uses the owner-only [pop] concurrently with
-   the owner's [push] ([check_owner:false] disables the runtime
-   assert) — the shape of the historical pool bug, a worker sweeping
-   with [pop] while the caller pushes the next round.  The rogue's
-   speculative bottom decrement and the owner's bottom publish
-   overwrite each other and an element is lost; the checker must find
-   that interleaving. *)
-let deque_two_owner_pop config =
-  Model.check ~config ~name:"deque_two_owner_pop" (fun () ->
-      let d = TD.create ~capacity:4 ~check_owner:false ~name:"deq" () in
-      let claims = ref [] in
-      TD.push d 1;
-      TD.push d 2;
-      let rogue =
-        P.Thread.spawn ~name:"rogue" (fun () -> claim claims (TD.pop d))
-      in
-      TD.push d 3;
-      P.Thread.join rogue;
-      let rec drain () =
-        match TD.pop d with
-        | Some v ->
-          claims := v :: !claims;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      assert_claims ~expect:[ 1; 2; 3 ] claims)
-
-(* The [size] contract from task_deque.mli: with [claimed] read before
-   [size] and [pushed] read after, [size <= pushed - claimed] in every
-   interleaving. *)
-let deque_size_bound config =
-  Model.check ~config ~name:"deque_size_bound" (fun () ->
-      let d = TD.create ~capacity:4 ~name:"deq" () in
-      let pushed = P.Atomic.make ~name:"pushed" 0 in
-      let claimed = P.Atomic.make ~name:"claimed" 0 in
-      P.Atomic.incr pushed;
-      TD.push d 1;
-      let thief =
-        P.Thread.spawn ~name:"thief" (fun () ->
-            match TD.steal d with
-            | Some _ -> P.Atomic.incr claimed
-            | None -> ())
-      in
-      let observer =
-        P.Thread.spawn ~name:"observer" (fun () ->
-            let c0 = P.Atomic.get claimed in
-            let s = TD.size d in
-            let p0 = P.Atomic.get pushed in
-            if s > p0 - c0 then
-              failwith
-                (Printf.sprintf "size %d > pushed %d - claimed %d" s p0 c0))
-      in
-      P.Atomic.incr pushed;
-      TD.push d 2;
-      (match TD.pop d with
-      | Some _ -> P.Atomic.incr claimed
-      | None -> ());
-      P.Thread.join thief;
-      P.Thread.join observer)
-
-(* One full pool round over two domains: count-before-push, the
-   round-completion signal vs the caller's wait, and the shutdown
-   broadcast vs a parked worker. *)
-let pool_round config =
-  Model.check ~config ~name:"pool_round" (fun () ->
-      let p = Pool.create ~domains:2 () in
-      let a = ref 0 and b = ref 0 in
-      Pool.run_round p [ (fun () -> incr a); (fun () -> incr b) ];
-      Pool.shutdown p;
-      if !a <> 1 || !b <> 1 then
-        failwith (Printf.sprintf "tasks ran a=%d b=%d, want 1 each" !a !b))
-
-(* Shutdown racing worker start-up: the stop broadcast must reach a
-   worker whether it has parked yet or not. *)
-let pool_shutdown config =
-  Model.check ~config ~name:"pool_shutdown" (fun () ->
-      let p = Pool.create ~domains:2 () in
-      Pool.shutdown p)
-
-(* BUG: workers take tasks with the owner-only [pop] (the pre-PR 6
-   ordering).  The corruption needs round overlap — a worker still
-   sweeping round 1 with [pop] while the caller pushes round 2 — and
-   loses a task: the remaining counter never reaches zero and the
-   caller deadlocks on the completion wait. *)
-let pool_two_owner_pop config =
-  Model.check ~config ~name:"pool_two_owner_pop" (fun () ->
-      let p = Pool.create ~seeded_bug:`Two_owner_pop ~domains:2 () in
-      let a = ref 0 and b = ref 0 and c = ref 0 in
-      Pool.run_round p [ (fun () -> incr a) ];
-      Pool.run_round p [ (fun () -> incr b); (fun () -> incr c) ];
-      Pool.shutdown p;
-      if !a <> 1 || !b <> 1 || !c <> 1 then
-        failwith (Printf.sprintf "tasks ran a=%d b=%d c=%d, want 1 each" !a !b !c))
-
-(* BUG: the round's tasks are published before the outstanding counter
-   is set.  A worker still sweeping from the previous round steals a
-   task early, drives the counter negative, and the caller parks on
-   the completion condition forever: a deadlock counterexample. *)
-let pool_count_after_push config =
-  Model.check ~config ~name:"pool_count_after_push" (fun () ->
-      let p = Pool.create ~seeded_bug:`Count_after_push ~domains:2 () in
-      let r1 = ref 0 and r2 = ref 0 and r3 = ref 0 in
-      Pool.run_round p [ (fun () -> incr r1) ];
-      Pool.run_round p [ (fun () -> incr r2); (fun () -> incr r3) ];
-      Pool.shutdown p;
-      if !r1 <> 1 || !r2 <> 1 || !r3 <> 1 then
-        failwith
-          (Printf.sprintf "tasks ran %d/%d/%d, want 1 each" !r1 !r2 !r3))
 
 (* Model replica of the Trace sink publication protocol
    (lib/trace/trace.ml): the [active_sinks] gate is incremented before
    a state with a live sink becomes visible to any domain, so a domain
    that adopted such a state can never read the gate as 0 and drop a
    record; and the hand-off through the atomic cell orders the plain
-   state-field accesses (no race reported). *)
-let trace_publication config =
-  Model.check ~config ~name:"trace_publication" (fun () ->
+   state-field accesses (no race reported).  [~late_gate] raises the
+   gate only after the hand-off: a domain that adopts the state in
+   between reads the gate as 0 and drops its record, which the checker
+   must find. *)
+let trace_publication ~late_gate config =
+  let name = if late_gate then "trace_publication_late_gate" else "trace_publication" in
+  Model.check ~config ~name (fun () ->
       let active = P.Atomic.make ~name:"active_sinks" 0 in
       let published = P.Atomic.make ~name:"state.cell" 0 in
       let st_active = P.Plain.make ~name:"state.active" false in
@@ -217,118 +50,34 @@ let trace_publication config =
             end)
       in
       (* make_state: gate up BEFORE the state is visible to any domain *)
-      P.Atomic.incr active;
+      if not late_gate then P.Atomic.incr active;
       P.Plain.set st_active true;
       P.Atomic.set published 1 (* swap_state hand-off *);
+      if late_gate then P.Atomic.incr active;
       P.Thread.join consumer;
       if !adopted && !dropped > 0 then
         failwith "live sink but gate read 0: record dropped";
       if !adopted && !emitted <> 1 then failwith "adopted sink did not emit")
 
-let deque_races = [ "deq.arr" ]
-let pool_races = [ "deque0.arr"; "deque1.arr" ]
-
 let all =
   [
-    {
-      name = "deque_last_element";
-      descr = "owner pop races one thief for the last element";
-      bug = false;
-      expected_races = deque_races;
-      required_races = deque_races;
-      config = Model.default_config;
-      run = deque_last_element;
-    };
-    {
-      name = "deque_grow_steal";
-      descr = "capacity-1 deque grows twice under a concurrent thief";
-      bug = false;
-      expected_races = deque_races;
-      required_races = [];
-      config = Model.default_config;
-      run = deque_grow_steal;
-    };
-    {
-      name = "deque_size_bound";
-      descr = "size <= pushed - claimed with claimed read first";
-      bug = false;
-      expected_races = deque_races;
-      required_races = [];
-      config = Model.default_config;
-      run = deque_size_bound;
-    };
-    {
-      name = "deque_two_owner_pop";
-      descr = "SEEDED BUG: concurrent owner-only pops corrupt the deque";
-      bug = true;
-      expected_races = [];
-      required_races = [];
-      config = Model.default_config;
-      run = deque_two_owner_pop;
-    };
-    {
-      name = "pool_round";
-      descr = "one 2-domain round: completion signal vs caller wait";
-      bug = false;
-      expected_races = pool_races;
-      required_races = [];
-      config = Model.default_config;
-      run = pool_round;
-    };
-    {
-      name = "pool_shutdown";
-      descr = "stop broadcast vs a worker that may not have parked yet";
-      bug = false;
-      expected_races = pool_races;
-      required_races = [];
-      config = Model.default_config;
-      run = pool_shutdown;
-    };
-    {
-      name = "pool_two_owner_pop";
-      descr = "SEEDED BUG: workers pop instead of steal";
-      bug = true;
-      expected_races = [];
-      required_races = [];
-      config = Model.default_config;
-      run = pool_two_owner_pop;
-    };
-    {
-      name = "pool_count_after_push";
-      descr = "SEEDED BUG: tasks published before the outstanding count";
-      bug = true;
-      expected_races = [];
-      required_races = [];
-      config = Model.default_config;
-      run = pool_count_after_push;
-    };
     {
       name = "trace_publication";
       descr = "active_sinks gate up before the state is published";
       bug = false;
-      expected_races = [];
-      required_races = [];
       config = Model.default_config;
-      run = trace_publication;
+      run = trace_publication ~late_gate:false;
+    };
+    {
+      name = "trace_publication_late_gate";
+      descr = "SEEDED BUG: active_sinks gate raised after the state is published";
+      bug = true;
+      config = Model.default_config;
+      run = trace_publication ~late_gate:true;
     };
   ]
 
 let find name = List.find_opt (fun s -> s.name = name) all
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let unexpected_races sc (o : Model.outcome) =
-  List.filter
-    (fun (r : Model.race) ->
-      not (List.exists (fun p -> has_prefix p r.loc) sc.expected_races))
-    o.races
-
-let missing_races sc (o : Model.outcome) =
-  List.filter
-    (fun p ->
-      not (List.exists (fun (r : Model.race) -> has_prefix p r.loc) o.races))
-    sc.required_races
 
 let evaluate sc (o : Model.outcome) =
   if sc.bug then
@@ -347,21 +96,15 @@ let evaluate sc (o : Model.outcome) =
     match o.counterexample with
     | Some c -> (false, Printf.sprintf "counterexample (%s): %s" c.kind c.message)
     | None -> (
-      match unexpected_races sc o with
-      | _ :: _ as ur ->
+      match o.races with
+      | _ :: _ as races ->
         ( false,
-          "unexpected data race on "
+          "data race on "
           ^ String.concat ", "
-              (List.sort_uniq compare (List.map (fun r -> r.Model.loc) ur)) )
-      | [] -> (
-        match missing_races sc o with
-        | _ :: _ as ms ->
-          ( false,
-            "documented benign race not observed (instrumentation loss?): "
-            ^ String.concat ", " ms )
-        | [] ->
-          if o.budget_exhausted then (false, "exploration budget exhausted")
-          else
-            ( true,
-              Printf.sprintf "clean: %d interleavings, %d pruned"
-                o.executions o.prunes )))
+              (List.sort_uniq compare (List.map (fun r -> r.Model.loc) races)) )
+      | [] ->
+        if o.budget_exhausted then (false, "exploration budget exhausted")
+        else
+          ( true,
+            Printf.sprintf "clean: %d interleavings, %d pruned" o.executions
+              o.prunes ))

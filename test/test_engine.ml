@@ -554,240 +554,6 @@ let prop_sim_monotone =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Task_deque: the work-stealing layer under Engine.Coordinator         *)
-
-(* Model-based single-domain check: a deque driven by random
-   push/pop/steal programs agrees with a list model (push-back,
-   pop-back, steal-front). *)
-let prop_deque_model =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_range 1 200)
-        (frequency
-           [ (3, map (fun v -> `Push v) (int_bound 10_000)); (2, return `Pop); (2, return `Steal) ]))
-  in
-  let print ops =
-    String.concat "; "
-      (List.map
-         (function
-           | `Push v -> Printf.sprintf "push %d" v
-           | `Pop -> "pop"
-           | `Steal -> "steal")
-         ops)
-  in
-  QCheck.Test.make ~name:"deque matches list model" ~count:500
-    (QCheck.make gen ~print) (fun ops ->
-      let d = Engine.Task_deque.create ~capacity:2 () in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | `Push v ->
-            Engine.Task_deque.push d v;
-            model := !model @ [ v ];
-            Engine.Task_deque.size d = List.length !model
-          | `Pop ->
-            let expect =
-              match List.rev !model with
-              | [] -> None
-              | last :: rest_rev ->
-                model := List.rev rest_rev;
-                Some last
-            in
-            Engine.Task_deque.pop d = expect
-          | `Steal ->
-            let expect =
-              match !model with
-              | [] -> None
-              | first :: rest ->
-                model := rest;
-                Some first
-            in
-            Engine.Task_deque.steal d = expect)
-        ops)
-
-(* Multi-domain stress: one owner pushes (and sometimes pops), several
-   thieves steal concurrently; every pushed element must be claimed by
-   exactly one pop or steal — nothing lost, nothing duplicated. *)
-let test_deque_multidomain () =
-  let total = 30_000 in
-  let thieves = 3 in
-  let d = Engine.Task_deque.create () in
-  let claimed = Array.make (total + 1) 0 in
-  let produced = Atomic.make 0 in
-  let consumed = Atomic.make 0 in
-  let done_pushing = Atomic.make false in
-  let claim v =
-    claimed.(v) <- claimed.(v) + 1;
-    (* racy increment would lose counts; each slot has one writer only
-       if claims are unique, which is exactly what we assert below via
-       the consumed total *)
-    Atomic.incr consumed
-  in
-  let thief () =
-    while not (Atomic.get done_pushing) || Engine.Task_deque.size d > 0 do
-      match Engine.Task_deque.steal d with
-      | Some v -> claim v
-      | None -> Domain.cpu_relax ()
-    done
-  in
-  let domains = List.init thieves (fun _ -> Domain.spawn thief) in
-  let rng = Engine.Rng.create 2024 in
-  for v = 1 to total do
-    Engine.Task_deque.push d v;
-    Atomic.incr produced;
-    (* the owner takes some of its own work back, LIFO *)
-    if Engine.Rng.int rng 4 = 0 then
-      match Engine.Task_deque.pop d with Some w -> claim w | None -> ()
-  done;
-  (* drain the leftovers as the owner, racing the thieves for them *)
-  let rec drain () =
-    match Engine.Task_deque.pop d with
-    | Some w ->
-      claim w;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set done_pushing true;
-  List.iter Domain.join domains;
-  Alcotest.(check int) "every push claimed once" total (Atomic.get consumed);
-  Alcotest.(check int) "produced all" total (Atomic.get produced);
-  let dupes = ref 0 and missing = ref 0 in
-  for v = 1 to total do
-    if claimed.(v) > 1 then incr dupes;
-    if claimed.(v) = 0 then incr missing
-  done;
-  Alcotest.(check int) "no duplicated claims" 0 !dupes;
-  Alcotest.(check int) "no lost elements" 0 !missing
-
-(* Growth under contention: start at capacity 1 and push the whole
-   batch before draining, so the buffer doubles repeatedly while
-   thieves are live — every grow races in-flight steals. *)
-let test_deque_grow_under_steal () =
-  let total = 20_000 in
-  let thieves = 3 in
-  let d = Engine.Task_deque.create ~capacity:1 () in
-  let claimed = Array.make (total + 1) 0 in
-  let consumed = Atomic.make 0 in
-  let done_pushing = Atomic.make false in
-  let claim v =
-    claimed.(v) <- claimed.(v) + 1;
-    Atomic.incr consumed
-  in
-  let thief () =
-    while not (Atomic.get done_pushing) || Engine.Task_deque.size d > 0 do
-      match Engine.Task_deque.steal d with
-      | Some v -> claim v
-      | None -> Domain.cpu_relax ()
-    done
-  in
-  let domains = List.init thieves (fun _ -> Domain.spawn thief) in
-  for v = 1 to total do
-    Engine.Task_deque.push d v
-  done;
-  let rec drain () =
-    match Engine.Task_deque.pop d with
-    | Some w ->
-      claim w;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set done_pushing true;
-  List.iter Domain.join domains;
-  Alcotest.(check int) "every push claimed once" total (Atomic.get consumed);
-  let dupes = ref 0 and missing = ref 0 in
-  for v = 1 to total do
-    if claimed.(v) > 1 then incr dupes;
-    if claimed.(v) = 0 then incr missing
-  done;
-  Alcotest.(check int) "no duplicated claims" 0 !dupes;
-  Alcotest.(check int) "no lost elements" 0 !missing
-
-(* The buffer kept stolen closures reachable until their physical slot
-   was reused; the owner must clear claimed slots no later than its
-   next pop that observes them gone (mirrors the wheel's
-   cancel-releases-closure test above). *)
-let test_deque_steal_releases_closure () =
-  (* empty-pop sweep: thieves claim everything, the owner's next
-     (empty) pop reclaims the slots *)
-  let d = Engine.Task_deque.create ~capacity:4 () in
-  let w = Weak.create 3 in
-  let push_payload i =
-    (* Built in a helper so no stack slot keeps [payload] alive. *)
-    let payload = Bytes.create 4096 in
-    Weak.set w i (Some payload);
-    Engine.Task_deque.push d (fun () -> ignore (Bytes.length payload))
-  in
-  for i = 0 to 2 do
-    push_payload i
-  done;
-  for _ = 0 to 2 do
-    match Engine.Task_deque.steal d with
-    | Some f -> f ()
-    | None -> Alcotest.fail "steal lost an element"
-  done;
-  Alcotest.(check bool) "deque empty after steals" true
-    (Engine.Task_deque.pop d = None);
-  Gc.full_major ();
-  for i = 0 to 2 do
-    Alcotest.(check bool)
-      (Printf.sprintf "payload %d released after empty pop" i)
-      false (Weak.check w i)
-  done;
-  (* last-element pop sweep: the owner's winning pop of the final
-     element also reclaims the slots thieves emptied before it *)
-  let d2 = Engine.Task_deque.create ~capacity:4 () in
-  let w2 = Weak.create 3 in
-  let push_payload2 i =
-    let payload = Bytes.create 4096 in
-    Weak.set w2 i (Some payload);
-    Engine.Task_deque.push d2 (fun () -> ignore (Bytes.length payload))
-  in
-  for i = 0 to 2 do
-    push_payload2 i
-  done;
-  for _ = 0 to 1 do
-    match Engine.Task_deque.steal d2 with
-    | Some f -> f ()
-    | None -> Alcotest.fail "steal lost an element"
-  done;
-  (match Engine.Task_deque.pop d2 with
-  | Some f -> f ()
-  | None -> Alcotest.fail "owner lost the last element");
-  Gc.full_major ();
-  for i = 0 to 2 do
-    Alcotest.(check bool)
-      (Printf.sprintf "payload %d released after last-element pop" i)
-      false (Weak.check w2 i)
-  done
-
-(* The single-owner contract is enforced: push/pop from a thread other
-   than the creator raises; steal from anywhere is fine. *)
-let test_deque_owner_assert () =
-  let d = Engine.Task_deque.create () in
-  Engine.Task_deque.push d 1;
-  let rogue_pop =
-    Domain.spawn (fun () ->
-        match Engine.Task_deque.pop d with
-        | exception Invalid_argument _ -> true
-        | _ -> false)
-    |> Domain.join
-  in
-  Alcotest.(check bool) "pop from non-owner raises" true rogue_pop;
-  let rogue_push =
-    Domain.spawn (fun () ->
-        match Engine.Task_deque.push d 2 with
-        | exception Invalid_argument _ -> true
-        | _ -> false)
-    |> Domain.join
-  in
-  Alcotest.(check bool) "push from non-owner raises" true rogue_push;
-  let stolen = Domain.spawn (fun () -> Engine.Task_deque.steal d) |> Domain.join in
-  Alcotest.(check (option int)) "steal from non-owner allowed" (Some 1) stolen
-
-(* ------------------------------------------------------------------ *)
 (* Coordinator rounds: the idle-member fast path                        *)
 
 (* An idle member (its next event lies past the horizon) is advanced
@@ -795,16 +561,16 @@ let test_deque_owner_assert () =
    recorder clock seen inside its context must match a twin shard run
    the long way, [Sim.run_until] under [Shard.with_context]; a member
    with an event exactly at the horizon is busy and fires it in the
-   same round.  Covered for the inline ([domains = 1]) and pool paths,
-   with and without an ambient sink and per-shard rings. *)
-let check_idle_round ~domains ~ambient ~trace_capacity =
+   same round.  Covered with and without an ambient sink and per-shard
+   rings. *)
+let check_idle_round ~ambient ~trace_capacity =
   let module C = Engine.Coordinator in
   let module Sh = Engine.Shard in
   let module S = Engine.Sim in
   let horizon = 5_000 in
   let run () =
     let control = Sh.control ~sim:(S.create ()) in
-    let coord = C.create ~control ~domains in
+    let coord = C.create ~control in
     let idle = Sh.create ~id:1 ?trace_capacity () in
     let twin = Sh.create ~id:9 ?trace_capacity () in
     let far = ref 0 in
@@ -825,8 +591,7 @@ let check_idle_round ~domains ~ambient ~trace_capacity =
     C.advance coord ~horizon;
     Sh.with_context twin (fun () -> S.run_until (Sh.sim twin) ~limit:horizon);
     let label what =
-      Printf.sprintf "domains=%d ambient=%b ring=%b: %s" domains ambient
-        (trace_capacity <> None) what
+      Printf.sprintf "ambient=%b ring=%b: %s" ambient (trace_capacity <> None) what
     in
     check Alcotest.int (label "idle sim clock at horizon") horizon
       (S.now (Sh.sim idle));
@@ -838,23 +603,18 @@ let check_idle_round ~domains ~ambient ~trace_capacity =
     check Alcotest.int (label "far event still pending") 1
       (S.pending_count (Sh.sim idle));
     C.advance coord ~horizon:(3 * horizon);
-    check Alcotest.int (label "far event fires when due") 1 !far;
-    C.shutdown coord
+    check Alcotest.int (label "far event fires when due") 1 !far
   in
   if ambient then Trace.with_sink { Trace.write = ignore; close = ignore } run
   else run ()
 
 let test_coordinator_idle_fast_path () =
   List.iter
-    (fun domains ->
+    (fun ambient ->
       List.iter
-        (fun ambient ->
-          List.iter
-            (fun trace_capacity ->
-              check_idle_round ~domains ~ambient ~trace_capacity)
-            [ None; Some 16 ])
-        [ false; true ])
-    [ 1; 2 ]
+        (fun trace_capacity -> check_idle_round ~ambient ~trace_capacity)
+        [ None; Some 16 ])
+    [ false; true ]
 
 let () =
   Alcotest.run "engine"
@@ -923,16 +683,5 @@ let () =
         [
           Alcotest.test_case "idle member fast path" `Quick
             test_coordinator_idle_fast_path;
-        ] );
-      ( "task_deque",
-        [
-          QCheck_alcotest.to_alcotest prop_deque_model;
-          Alcotest.test_case "multi-domain steal stress" `Quick
-            test_deque_multidomain;
-          Alcotest.test_case "grow under concurrent steals" `Quick
-            test_deque_grow_under_steal;
-          Alcotest.test_case "steal releases closure" `Quick
-            test_deque_steal_releases_closure;
-          Alcotest.test_case "owner assert" `Quick test_deque_owner_assert;
         ] );
     ]

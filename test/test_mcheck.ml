@@ -1,8 +1,7 @@
 (* Tests for lib/mcheck: the DPOR explorer itself (toy programs with
    known interleaving counts and known bugs), a DPOR-vs-exhaustive
-   differential on observable outcomes, the engine scenario suite, the
-   checker's determinism, the Task_deque size bound under real
-   concurrency, and the concurrency source lint. *)
+   differential on observable outcomes, the scenario suite, the
+   checker's determinism, and the concurrency source lint. *)
 
 module M = Mcheck.Model
 module P = Mcheck.Model.P
@@ -216,8 +215,8 @@ let test_dpor_vs_naive_outcomes () =
     progs
 
 (* ------------------------------------------------------------------ *)
-(* The engine scenario suite: clean scenarios explore clean, seeded    *)
-(* bugs are found                                                      *)
+(* The scenario suite: clean scenarios explore clean, seeded bugs are  *)
+(* found                                                               *)
 
 let test_scenarios () =
   List.iter
@@ -231,8 +230,8 @@ let test_scenarios () =
    identical counterexample schedule — the CI gate depends on the
    checker being deterministic. *)
 let test_deterministic_counterexample () =
-  match Mcheck.Scenarios.find "pool_count_after_push" with
-  | None -> Alcotest.fail "scenario list changed: pool_count_after_push gone"
+  match Mcheck.Scenarios.find "trace_publication_late_gate" with
+  | None -> Alcotest.fail "scenario list changed: trace_publication_late_gate gone"
   | Some sc -> (
     let o1 = sc.run sc.config in
     let o2 = sc.run sc.config in
@@ -242,57 +241,6 @@ let test_deterministic_counterexample () =
     | Some c1, Some c2 ->
       Alcotest.(check (list string)) "same schedule" c1.M.trace c2.M.trace
     | _ -> Alcotest.fail "seeded bug not re-found")
-
-(* ------------------------------------------------------------------ *)
-(* Task_deque.size bound under real domains (the task_deque.mli        *)
-(* contract: claimed read before size, pushed read after)              *)
-
-let prop_size_quiescent_bound =
-  QCheck.Test.make ~name:"size quiescent bound" ~count:15
-    QCheck.(int_range 50 400)
-    (fun total ->
-      let d = Engine.Task_deque.create ~capacity:1 () in
-      let pushed = Atomic.make 0 in
-      let claimed = Atomic.make 0 in
-      let stop = Atomic.make false in
-      let violations = Atomic.make 0 in
-      let observer =
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              let c0 = Atomic.get claimed in
-              let s = Engine.Task_deque.size d in
-              let p0 = Atomic.get pushed in
-              if s > p0 - c0 then Atomic.incr violations
-            done)
-      in
-      let thief =
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              match Engine.Task_deque.steal d with
-              | Some _ -> Atomic.incr claimed
-              | None -> Domain.cpu_relax ()
-            done)
-      in
-      for i = 1 to total do
-        Atomic.incr pushed;
-        Engine.Task_deque.push d i;
-        if i mod 3 = 0 then
-          match Engine.Task_deque.pop d with
-          | Some _ -> Atomic.incr claimed
-          | None -> ()
-      done;
-      let rec drain () =
-        match Engine.Task_deque.pop d with
-        | Some _ ->
-          Atomic.incr claimed;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      Atomic.set stop true;
-      Domain.join thief;
-      Domain.join observer;
-      Atomic.get violations = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Source lint                                                          *)
@@ -381,8 +329,6 @@ let () =
           Alcotest.test_case "deterministic counterexample" `Quick
             test_deterministic_counterexample;
         ] );
-      ( "size bound",
-        [ QCheck_alcotest.to_alcotest prop_size_quiescent_bound ] );
       ( "source lint",
         [
           Alcotest.test_case "flags raw primitives" `Quick

@@ -1,13 +1,12 @@
-(* Sequential-equivalence differential for the sharded cluster.
+(* Replay differential for the cluster's logical-process decomposition.
 
-   The claim under test is the tentpole of the sharding work: the
-   domain count is an execution detail.  A cluster program — connects,
-   drains, adds, removals, fault injections, all scheduled on the
-   control simulator — must produce a byte-identical merged trace and
-   identical control-side outcomes under [~shards:1] (pure sequential
-   execution, no domain ever spawned) and under 2/4/8 worker domains.
-   Random programs come from qcheck; each is replayed at every shard
-   count and the renders are compared as strings. *)
+   A cluster program — connects, drains, adds, removals, fault
+   injections, all scheduled on the control simulator — must produce a
+   byte-identical merged trace and identical control-side outcomes
+   every time it is replayed: schedules, trace sequence numbers and
+   message stamps are functions of the decomposition alone.  Random
+   programs come from qcheck; each is run twice and the renders are
+   compared as strings. *)
 
 module Sim = Engine.Sim
 module ST = Engine.Sim_time
@@ -86,16 +85,16 @@ let plan_for ~at_us fault : Faults.Plan.t =
   | _ -> [ { Faults.Plan.at = base; action = Probe_loss { duration = ST.ms 5 } } ]
 
 (* Control-side observable log: everything a harness could branch on,
-   stamped with virtual time.  Compared across shard counts alongside
-   the merged trace. *)
-let run_prog ~shards prog =
+   stamped with virtual time.  Compared across replays alongside the
+   merged trace. *)
+let run_prog prog =
   let sim = Sim.create () in
   let rng = Engine.Rng.create prog.seed in
   let tenants = Netsim.Tenant.population ~n:2 ~base_dport:20000 in
   let cluster =
     Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices:prog.devices
-      ~mode:Lb.Device.Reuseport ~workers:prog.workers ~shards
-      ~lookahead:(ST.ms 2) ~trace_capacity:65536 ()
+      ~mode:Lb.Device.Reuseport ~workers:prog.workers ~lookahead:(ST.ms 2)
+      ~trace_capacity:65536 ()
   in
   let outcomes = ref [] in
   let push fmt =
@@ -168,46 +167,16 @@ let run_prog ~shards prog =
       (Cluster.Lb_cluster.size cluster)
   in
   let drops = Cluster.Lb_cluster.trace_drops cluster in
-  Cluster.Lb_cluster.shutdown cluster;
   (trace, String.concat "\n" (List.rev !outcomes), summary, drops)
 
-let shard_counts = [ 2; 4; 8 ]
-
-let prop_shards_equivalent =
-  QCheck.Test.make ~name:"merged trace byte-identical across shard counts"
-    ~count:300 arbitrary_prog (fun prog ->
-      let ref_trace, ref_out, ref_summary, ref_drops = run_prog ~shards:1 prog in
-      if ref_drops > 0 then
-        QCheck.Test.fail_reportf "trace ring overflowed (%d drops)" ref_drops;
-      List.for_all
-        (fun shards ->
-          let trace, out, summary, drops = run_prog ~shards prog in
-          if drops > 0 then
-            QCheck.Test.fail_reportf "shards=%d: ring overflow (%d)" shards drops;
-          if trace <> ref_trace then
-            QCheck.Test.fail_reportf
-              "shards=%d: merged trace diverged from sequential (lengths %d vs %d)"
-              shards (String.length trace)
-              (String.length ref_trace);
-          if out <> ref_out then
-            QCheck.Test.fail_reportf
-              "shards=%d: control-side outcomes diverged:\n%s\n-- vs --\n%s"
-              shards out ref_out;
-          if summary <> ref_summary then
-            QCheck.Test.fail_reportf "shards=%d: %s vs %s" shards summary
-              ref_summary;
-          true)
-        shard_counts)
-
-(* Replaying the same program at the same shard count must also be
-   bit-stable — separates "parallelism leaked in" failures from plain
-   nondeterminism when the differential above trips. *)
+(* The ring must hold the whole run, or the comparison below would
+   only cover its tail. *)
 let prop_replay_stable =
-  QCheck.Test.make ~name:"same program, same shards => identical run" ~count:30
+  QCheck.Test.make ~name:"same program, same shards => identical run" ~count:300
     arbitrary_prog (fun prog ->
-      let a = run_prog ~shards:4 prog in
-      let b = run_prog ~shards:4 prog in
-      a = b)
+      let ((_, _, _, drops) as a) = run_prog prog in
+      if drops > 0 then QCheck.Test.fail_reportf "trace ring overflowed (%d drops)" drops;
+      a = run_prog prog)
 
 let test_nonempty_traces () =
   (* Guard against the vacuous pass: a representative program must
@@ -229,7 +198,7 @@ let test_nonempty_traces () =
         ];
     }
   in
-  let trace, outcomes, summary, drops = run_prog ~shards:2 prog in
+  let trace, outcomes, summary, drops = run_prog prog in
   Alcotest.(check int) "no ring drops" 0 drops;
   Alcotest.(check bool) "trace has records" true (String.length trace > 200);
   Alcotest.(check bool)
@@ -250,7 +219,6 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "representative program" `Quick test_nonempty_traces;
-          QCheck_alcotest.to_alcotest prop_shards_equivalent;
           QCheck_alcotest.to_alcotest prop_replay_stable;
         ] );
     ]
