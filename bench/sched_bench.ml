@@ -2,7 +2,7 @@
 
    Each scenario is a pure function of an engine module, instantiated
    twice — once over the timing-wheel [Engine.Sim], once over the
-   retired binary heap [Engine.Ref_heap] — and timed in the same
+   retired binary heap [Test_support.Ref_heap] — and timed in the same
    process run.  The regression metric is the wheel/heap {e speedup
    ratio}, not absolute nanoseconds: the ratio is stable across
    machines and CI runners, so BENCH.json commits a meaningful
@@ -145,7 +145,7 @@ module Scenarios (S : SCHED) = struct
 end
 
 module Wheel_runs = Scenarios (Engine.Sim)
-module Heap_runs = Scenarios (Engine.Ref_heap)
+module Heap_runs = Scenarios (Test_support.Ref_heap)
 
 let run ~name ~reps wheel heap () =
   let wheel_ns, heap_ns, events = Measure.pair ~name ~reps wheel heap in

@@ -1,6 +1,7 @@
 type t = {
   cfg : Config.t;
   grouping : Groups.t;
+  group_of : int array; (* group index of each worker *)
   metric_hooks : Metrics.t array;
   sched_scratch : Scheduler.scratch array;  (* one per worker, reused *)
   mutable sync_defer : ((unit -> unit) -> unit) option;
@@ -37,6 +38,7 @@ let create ?(group_size = 64) ?(select_mode = Groups.By_flow_hash) ~config
   {
     cfg = config;
     grouping;
+    group_of = Array.init workers (fun w -> fst (Groups.group_of_worker grouping w));
     metric_hooks;
     sched_scratch = Array.init workers (fun _ -> Scheduler.make_scratch ());
     sync_defer = None;
@@ -58,24 +60,24 @@ let make_prog t ~m_socket =
 let set_sync_defer t defer = t.sync_defer <- defer
 
 let schedule_and_sync t ~worker ~now =
-  let g, _ = Groups.group_of_worker t.grouping worker in
+  let g = t.group_of.(worker) in
   let scratch = t.sched_scratch.(worker) in
   Scheduler.run scratch ~config:t.cfg ~wst:(Groups.wst t.grouping g) ~now;
-  let result = Scheduler.result scratch in
   (* The bitmap push is a bpf() syscall; under an injected map-sync
      delay the store lands later, and the kernel keeps dispatching on
      the previous bitmap in the interim. *)
   let m_sel = Groups.m_sel t.grouping in
+  let bitmap = Scheduler.bitmap scratch in
   (match t.sync_defer with
-  | None -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g result.bitmap
+  | None -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g bitmap
   | Some defer ->
-    defer (fun () -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g result.bitmap));
-  t.scheduler_cycles <- t.scheduler_cycles + result.cycles;
+    defer (fun () -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g bitmap));
+  t.scheduler_cycles <- t.scheduler_cycles + Scheduler.cycles scratch;
   t.scheduler_calls <- t.scheduler_calls + 1;
   t.sync_calls <- t.sync_calls + 1;
-  t.pass_sum <- t.pass_sum + result.passed;
-  t.considered_sum <- t.considered_sum + result.total;
-  result
+  t.pass_sum <- t.pass_sum + Scheduler.passed scratch;
+  t.considered_sum <- t.considered_sum + Scheduler.total scratch;
+  scratch
 
 let mark_dead t ~worker =
   let g, within = Groups.group_of_worker t.grouping worker in

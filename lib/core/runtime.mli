@@ -32,13 +32,13 @@ val make_prog :
 (** Dispatch program for one port; [m_socket] indexed by global worker
     id. *)
 
-val schedule_and_sync : t -> worker:int -> now:Engine.Sim_time.t -> Scheduler.result
+val schedule_and_sync : t -> worker:int -> now:Engine.Sim_time.t -> Scheduler.scratch
 (** Run Algo 1 over the calling worker's group and push the bitmap to
-    the kernel through a counted map-update syscall.  The scheduler
-    pass itself runs on the calling worker's reusable
-    {!Scheduler.scratch}, so with tracing disabled it allocates
-    nothing; only the returned summary record and the pushed [int64]
-    are fresh. *)
+    the kernel through a counted map-update syscall.  The pass runs on,
+    and its outcome is read from, the calling worker's reusable
+    {!Scheduler.scratch} (returned; valid until that worker's next
+    call), so with tracing disabled only the pushed [int64] is
+    fresh. *)
 
 val mark_dead : t -> worker:int -> unit
 (** Force a worker's availability timestamp far into the past so

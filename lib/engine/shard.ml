@@ -41,11 +41,12 @@ let drain_outbox t =
 
 let deliver t msg = ignore (Sim.schedule t.sim ~at:msg.at msg.action)
 
-(* Swap [state] in around [f], without a [Fun.protect] closure: the
-   round loop calls this for every busy member. *)
-let within state f x =
+(* Swap [state] in around [f a b], without a [Fun.protect] closure:
+   the round loop calls this for every busy member, with a closed [f]
+   so nothing is allocated per call. *)
+let within state f a b =
   let saved = Trace.swap_state state in
-  match f x with
+  match f a b with
   | v ->
     ignore (Trace.swap_state saved);
     v
@@ -54,8 +55,10 @@ let within state f x =
     ignore (Trace.swap_state saved);
     Printexc.raise_with_backtrace e bt
 
+let apply f () = f ()
+
 let with_context t f =
-  match t.trace with None -> f () | Some state -> within state f ()
+  match t.trace with None -> f () | Some state -> within state apply f ()
 
 let context t =
   match t.trace with
@@ -73,9 +76,10 @@ let skip_idle t ~limit =
     Trace.set_now_in state limit;
     true
 
+let run_sim sim limit = Sim.run_until sim ~limit
+
 let run_to t ~limit =
-  if not (skip_idle t ~limit) then
-    within (context t) (fun limit -> Sim.run_until t.sim ~limit) limit
+  if not (skip_idle t ~limit) then within (context t) run_sim t.sim limit
 
 let records t =
   match t.ring with None -> [] | Some ring -> Trace.Ring.records ring

@@ -5,11 +5,11 @@
 
    The wheel reproduces the retired binary heap's exact (time, seq)
    firing order — the golden-trace conformance harness depends on it,
-   and test/test_engine.ml proves it differentially against
-   [Ref_heap] — while making [cancel] O(1) (the action closure is
-   dropped immediately, where the heap leaked it until drain) and
-   [pending_count] O(1) (a live counter, where the heap scanned every
-   slot including tombstones). *)
+   and test/test_engine.ml proves it differentially against the heap
+   kept in the test-support library — while making [cancel] O(1) (the
+   action closure is dropped immediately, where the heap leaked it
+   until drain) and [pending_count] O(1) (a live counter, where the
+   heap scanned every slot including tombstones). *)
 
 type handle = Wheel.entry
 
@@ -44,6 +44,37 @@ let schedule t ~at action =
   t.seq <- seq + 1;
   Wheel.add t.wheel ~time:at ~seq action
 
+let feed t ~n ~at ~run =
+  if n < 0 then invalid_arg "Sim.feed: negative n";
+  if n > 0 then begin
+    (* Reserve the whole block now, exactly where scheduling every
+       member up front would have numbered them; the wheel then fires
+       each member in its (time, seq) place although only one is ever
+       pending. *)
+    let first = t.seq in
+    t.seq <- first + n;
+    let at0 = at 0 in
+    if at0 < t.clock then
+      invalid_arg
+        (Printf.sprintf "Sim.feed: at 0 = %d is before now=%d" at0 t.clock);
+    let next = ref 0 and last = ref at0 in
+    let rec fire () =
+      let i = !next in
+      if i + 1 < n then begin
+        let time = at (i + 1) in
+        if time < !last then
+          invalid_arg
+            (Printf.sprintf "Sim.feed: at %d = %d is before at %d = %d" (i + 1)
+               time i !last);
+        next := i + 1;
+        last := time;
+        ignore (Wheel.add t.wheel ~time ~seq:(first + i + 1) fire)
+      end;
+      run i
+    in
+    ignore (Wheel.add t.wheel ~time:at0 ~seq:first fire)
+  end
+
 let schedule_after t ~delay action =
   if delay < 0 then invalid_arg "Sim.schedule_after: negative delay";
   schedule t ~at:(Sim_time.add t.clock delay) action
@@ -53,18 +84,20 @@ let is_pending _t ev = Wheel.is_live ev
 let pending_count t = Wheel.live_count t.wheel
 let occupancy t = Wheel.stored_count t.wheel
 
-let fire t time action =
+let fire t e =
+  let time = Wheel.time e in
   t.clock <- time;
   Trace.set_now time;
   t.fired <- t.fired + 1;
-  action ()
+  Wheel.take e ()
 
 let step t =
-  match Wheel.next_before t.wheel ~limit:max_int with
-  | None -> false
-  | Some (time, _seq, action) ->
-    fire t time action;
+  let e = Wheel.pop t.wheel ~limit:max_int in
+  if e == Wheel.none then false
+  else begin
+    fire t e;
     true
+  end
 
 let run t =
   t.stopping <- false;
@@ -76,9 +109,8 @@ let run_until t ~limit =
   t.stopping <- false;
   let continue = ref true in
   while !continue && not t.stopping do
-    match Wheel.next_before t.wheel ~limit with
-    | None -> continue := false
-    | Some (time, _seq, action) -> fire t time action
+    let e = Wheel.pop t.wheel ~limit in
+    if e == Wheel.none then continue := false else fire t e
   done;
   if t.clock < limit then begin
     t.clock <- limit;

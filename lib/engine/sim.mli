@@ -9,7 +9,8 @@
     of {!Wheel}: amortised O(1) schedule and extraction, O(1) {!cancel}
     that drops the action closure immediately, and O(1)
     {!pending_count}.  The retired binary-heap engine survives as
-    {!Ref_heap} for differential tests and the scheduler benchmarks. *)
+    [Ref_heap] in the test-support library ([test/support]), for the
+    differential tests and the scheduler benchmarks. *)
 
 type t
 
@@ -34,6 +35,19 @@ val set_shard : t -> int -> unit
 val schedule : t -> at:Sim_time.t -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] when virtual time reaches [at].
     @raise Invalid_argument if [at] is in the past. *)
+
+val feed : t -> n:int -> at:(int -> Sim_time.t) -> run:(int -> unit) -> unit
+(** [feed t ~n ~at ~run] runs [run i] at time [at i] for [i = 0 .. n-1]
+    and fires them exactly as [n] calls [schedule t ~at:(at i)] made
+    now, in order, would: it reserves that block of [n] consecutive
+    sequence numbers at once, so the [(time, seq)] firing order — ties
+    with other events included — and {!events_fired} are unchanged.
+    Only one member is pending at a time: when member [i] fires,
+    member [i+1] is added (its [at] is read then) before [run i]
+    runs.  So a long script costs one queue entry, not [n], and
+    {!pending_count} counts it once.  [at] must be non-decreasing.
+    @raise Invalid_argument if [n] is negative or [at 0] is in the
+    past (at once), or if [at (i+1) < at i] (when member [i] fires). *)
 
 val schedule_after : t -> delay:Sim_time.t -> (unit -> unit) -> handle
 (** [schedule_after t ~delay f] is [schedule t ~at:(now t + delay) f].

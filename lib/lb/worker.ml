@@ -152,23 +152,26 @@ let conns t =
 let is_blocked t = match t.state with Blocked _ -> true | _ -> false
 let is_crashed t = t.state = Crashed
 
-let hooks t = Option.map (fun rt -> Hermes.Runtime.hooks rt t.worker_id) t.hermes
-
 let avail_update t =
-  match hooks t with
-  | Some h -> Hermes.Metrics.avail_update h ~now:(Sim.now t.sim)
+  match t.hermes with
+  | Some rt ->
+    Hermes.Metrics.avail_update
+      (Hermes.Runtime.hooks rt t.worker_id)
+      ~now:(Sim.now t.sim)
   | None -> ()
 
 let busy_add t n =
   if n <> 0 then begin
     t.busy_outstanding <- t.busy_outstanding + n;
-    match hooks t with
-    | Some h -> Hermes.Metrics.busy_count h n
+    match t.hermes with
+    | Some rt -> Hermes.Metrics.busy_count (Hermes.Runtime.hooks rt t.worker_id) n
     | None -> ()
   end
 
 let conn_add t n =
-  match hooks t with Some h -> Hermes.Metrics.conn_count h n | None -> ()
+  match t.hermes with
+  | Some rt -> Hermes.Metrics.conn_count (Hermes.Runtime.hooks rt t.worker_id) n
+  | None -> ()
 
 (* Charge [cost] of CPU to this core, then continue; the continuation
    dies silently if the worker crashed or restarted in the interim. *)
@@ -232,12 +235,12 @@ let run_scheduler t k =
   match t.hermes with
   | None -> k ()
   | Some rt ->
-    let result =
+    let outcome =
       Hermes.Runtime.schedule_and_sync rt ~worker:t.worker_id ~now:(Sim.now t.sim)
     in
     let cost =
       Cost.cycles_to_time
-        (result.Hermes.Scheduler.cycles + Hermes.Runtime.syscall_cost_cycles)
+        (Hermes.Scheduler.cycles outcome + Hermes.Runtime.syscall_cost_cycles)
     in
     charge t cost k
 

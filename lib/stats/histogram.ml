@@ -5,16 +5,29 @@ type t = {
   linear_buckets : int;
   max_recordable : float;
   mutable n : int;
-  mutable sum : float;
-  (* Running mean and centred second moment (Welford): the naive
-     sum-of-squares formula cancels catastrophically once samples reach
-     ~1e8 (ns timestamps), reporting 0 or NaN stddev for tight
-     distributions around a large mean. *)
-  mutable mean_acc : float;
-  mutable m2 : float;
-  mutable minimum : float;
-  mutable maximum : float;
+  moments : float array;
+      (* [sum], [mean_acc], [m2], [minimum], [maximum], unboxed: a
+         float array stores its elements flat, where mutable float
+         record fields here would box every store. *)
 }
+
+(* Indices into [moments].  [mean_acc] and [m2] are the running mean
+   and centred second moment (Welford): the naive sum-of-squares
+   formula cancels catastrophically once samples reach ~1e8 (ns
+   timestamps), reporting 0 or NaN stddev for tight distributions
+   around a large mean. *)
+let sum = 0
+let mean_acc = 1
+let m2 = 2
+let minimum = 3
+let maximum = 4
+
+let empty_moments m =
+  m.(sum) <- 0.0;
+  m.(mean_acc) <- 0.0;
+  m.(m2) <- 0.0;
+  m.(minimum) <- infinity;
+  m.(maximum) <- neg_infinity
 
 (* Layout: [linear_buckets] unit-width buckets for [0, linear_limit),
    then log buckets above.  Index of value v >= linear_limit is
@@ -39,11 +52,10 @@ let create ?(significant_digits = 2) ?(max_value = 1e12) () =
     linear_buckets;
     max_recordable = max_value;
     n = 0;
-    sum = 0.0;
-    mean_acc = 0.0;
-    m2 = 0.0;
-    minimum = infinity;
-    maximum = neg_infinity;
+    moments =
+      (let m = Array.make 5 0.0 in
+       empty_moments m;
+       m);
   }
 
 let index_of t v =
@@ -72,21 +84,22 @@ let record_n t v n =
     let i = index_of t v' in
     t.buckets.(i) <- t.buckets.(i) + n;
     t.n <- t.n + n;
+    let m = t.moments in
     let fn = float_of_int n in
-    t.sum <- t.sum +. (v *. fn);
-    let delta = v -. t.mean_acc in
-    t.mean_acc <- t.mean_acc +. (delta *. fn /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (v -. t.mean_acc) *. fn);
-    if v < t.minimum then t.minimum <- v;
-    if v > t.maximum then t.maximum <- v
+    m.(sum) <- m.(sum) +. (v *. fn);
+    let delta = v -. m.(mean_acc) in
+    m.(mean_acc) <- m.(mean_acc) +. (delta *. fn /. float_of_int t.n);
+    m.(m2) <- m.(m2) +. (delta *. (v -. m.(mean_acc)) *. fn);
+    if v < m.(minimum) then m.(minimum) <- v;
+    if v > m.(maximum) then m.(maximum) <- v
   end
 
 let record t v = record_n t v 1
 let count t = t.n
-let total t = t.sum
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-let min_value t = if t.n = 0 then 0.0 else t.minimum
-let max_value t = if t.n = 0 then 0.0 else t.maximum
+let total t = t.moments.(sum)
+let mean t = if t.n = 0 then 0.0 else t.moments.(sum) /. float_of_int t.n
+let min_value t = if t.n = 0 then 0.0 else t.moments.(minimum)
+let max_value t = if t.n = 0 then 0.0 else t.moments.(maximum)
 
 let percentile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: p in 0..100";
@@ -97,7 +110,8 @@ let percentile t p =
       if r < 1 then 1 else r
     in
     let acc = ref 0 in
-    let result = ref t.maximum in
+    let top = t.moments.(maximum) in
+    let result = ref top in
     (try
        for i = 0 to Array.length t.buckets - 1 do
          acc := !acc + t.buckets.(i);
@@ -108,13 +122,13 @@ let percentile t p =
        done
      with Exit -> ());
     (* Never report beyond the observed maximum. *)
-    if !result > t.maximum then t.maximum else !result
+    if !result > top then top else !result
   end
 
 let stddev t =
   if t.n < 2 then 0.0
   else
-    let var = t.m2 /. float_of_int t.n in
+    let var = t.moments.(m2) /. float_of_int t.n in
     if var <= 0.0 then 0.0 else sqrt var
 
 let bucket_count t = Array.length t.buckets
@@ -132,26 +146,23 @@ let merge_into ~src ~dst =
   then invalid_arg "Histogram.merge_into: layout mismatch";
   Array.iteri (fun i c -> dst.buckets.(i) <- dst.buckets.(i) + c) src.buckets;
   (* Chan et al. parallel combine for the centred moments. *)
+  let s = src.moments and d = dst.moments in
   if src.n > 0 then begin
     let na = float_of_int dst.n and nb = float_of_int src.n in
     let total = na +. nb in
-    let delta = src.mean_acc -. dst.mean_acc in
-    dst.m2 <- dst.m2 +. src.m2 +. (delta *. delta *. na *. nb /. total);
-    dst.mean_acc <- dst.mean_acc +. (delta *. nb /. total)
+    let delta = s.(mean_acc) -. d.(mean_acc) in
+    d.(m2) <- d.(m2) +. s.(m2) +. (delta *. delta *. na *. nb /. total);
+    d.(mean_acc) <- d.(mean_acc) +. (delta *. nb /. total)
   end;
   dst.n <- dst.n + src.n;
-  dst.sum <- dst.sum +. src.sum;
-  if src.minimum < dst.minimum then dst.minimum <- src.minimum;
-  if src.maximum > dst.maximum then dst.maximum <- src.maximum
+  d.(sum) <- d.(sum) +. s.(sum);
+  if s.(minimum) < d.(minimum) then d.(minimum) <- s.(minimum);
+  if s.(maximum) > d.(maximum) then d.(maximum) <- s.(maximum)
 
 let reset t =
   Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.n <- 0;
-  t.sum <- 0.0;
-  t.mean_acc <- 0.0;
-  t.m2 <- 0.0;
-  t.minimum <- infinity;
-  t.maximum <- neg_infinity
+  empty_moments t.moments
 
 let cdf_points t =
   if t.n = 0 then []

@@ -12,10 +12,29 @@ type op =
     }
   | Close of { at : Sim_time.t; key : int }
 
-type trace = { script : op array; conn_count : int }
+type trace = {
+  script : op array;
+  conn_count : int;
+  last : Bytes.t; (* ['\001'] at the last op of each connection key *)
+}
 
 let at_of = function
   | Connect { at; _ } | Send { at; _ } | Close { at; _ } -> at
+
+let key_of = function
+  | Connect { key; _ } | Send { key; _ } | Close { key; _ } -> key
+
+let make script ~conn_count =
+  let last = Bytes.make (Array.length script) '\000' in
+  let seen = Hashtbl.create 1024 in
+  for i = Array.length script - 1 downto 0 do
+    let key = key_of script.(i) in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
+      Bytes.set last i '\001'
+    end
+  done;
+  { script; conn_count; last }
 
 let record ~profile ~tenants ~duration ~rng =
   if tenants <= 0 then invalid_arg "Replay.record: tenants must be positive";
@@ -68,7 +87,7 @@ let record ~profile ~tenants ~duration ~rng =
     Array.of_list
       (List.stable_sort (fun a b -> compare (at_of a) (at_of b)) (List.rev !ops))
   in
-  { script; conn_count = !key }
+  make script ~conn_count:!key
 
 let length t = Array.length t.script
 let connections t = t.conn_count
@@ -88,9 +107,9 @@ let replay t ~device ~rate =
   let base = Sim.now sim in
   let states = Hashtbl.create 1024 in
   let state_of key =
-    match Hashtbl.find_opt states key with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find states key with
+    | s -> s
+    | exception Not_found ->
       let s = { conn = None; buffered = []; want_close = false; dead = false } in
       Hashtbl.replace states key s;
       s
@@ -105,51 +124,55 @@ let replay t ~device ~rate =
       s.buffered <- [];
       if s.want_close then Lb.Device.close_conn device conn
   in
-  let scaled at = base + int_of_float (float_of_int at /. rate) in
-  Array.iter
-    (fun op ->
-      match op with
-      | Connect { at; key; tenant } ->
-        ignore
-          (Sim.schedule sim ~at:(scaled at) (fun () ->
-               let s = state_of key in
-               let events =
-                 {
-                   Lb.Device.null_conn_events with
-                   established =
-                     (fun conn ->
-                       s.conn <- Some conn;
-                       flush s);
-                   reset = (fun _ -> s.dead <- true);
-                   dispatch_failed = (fun () -> s.dead <- true);
-                 }
-               in
-               Lb.Device.connect device ~tenant ~events))
-      | Send { at; key; op_class; size; cost } ->
-        ignore
-          (Sim.schedule sim ~at:(scaled at) (fun () ->
-               let s = state_of key in
-               if not s.dead then begin
-                 let req =
-                   Lb.Request.make ~id:(Lb.Device.fresh_id device) ~op:op_class
-                     ~size ~cost ~tenant_id:0
-                 in
-                 match s.conn with
-                 | Some conn ->
-                   let req =
-                     { req with Lb.Request.tenant_id = conn.Lb.Conn.tenant_id }
-                   in
-                   ignore (Lb.Device.send device conn req)
-                 | None -> s.buffered <- req :: s.buffered
-               end))
-      | Close { at; key } ->
-        ignore
-          (Sim.schedule sim ~at:(scaled at) (fun () ->
-               let s = state_of key in
-               match s.conn with
-               | Some conn when not s.dead -> Lb.Device.close_conn device conn
-               | _ -> s.want_close <- true)))
-    t.script
+  let run_op i =
+    match t.script.(i) with
+    | Connect { key; tenant; _ } ->
+      let s = state_of key in
+      let events =
+        {
+          Lb.Device.null_conn_events with
+          established =
+            (fun conn ->
+              s.conn <- Some conn;
+              flush s);
+          reset = (fun _ -> s.dead <- true);
+          dispatch_failed = (fun () -> s.dead <- true);
+        }
+      in
+      Lb.Device.connect device ~tenant ~events
+    | Send { key; op_class; size; cost; _ } ->
+      let s = state_of key in
+      if not s.dead then begin
+        (* A request buffered before establishment keeps tenant 0. *)
+        let tenant_id =
+          match s.conn with Some conn -> conn.Lb.Conn.tenant_id | None -> 0
+        in
+        let req =
+          Lb.Request.make ~id:(Lb.Device.fresh_id device) ~op:op_class ~size
+            ~cost ~tenant_id
+        in
+        match s.conn with
+        | Some conn -> ignore (Lb.Device.send device conn req)
+        | None -> s.buffered <- req :: s.buffered
+      end
+    | Close { key; _ } -> (
+      let s = state_of key in
+      match s.conn with
+      | Some conn when not s.dead -> Lb.Device.close_conn device conn
+      | _ -> s.want_close <- true)
+  in
+  (* A key's state is dropped with its last op: later callbacks hold the
+     state itself, and no later op looks the key up again. *)
+  let run i =
+    run_op i;
+    if Bytes.get t.last i = '\001' then Hashtbl.remove states (key_of t.script.(i))
+  in
+  (* One pending event for the whole script: the feed reserves the
+     script's block of sequence numbers here, where scheduling every op
+     up front would have, so the firing order is unchanged. *)
+  Sim.feed sim ~n:(Array.length t.script)
+    ~at:(fun i -> base + int_of_float (float_of_int (at_of t.script.(i)) /. rate))
+    ~run
 
 (* --- persistence: "hermes-trace v1", one op per line ---------------- *)
 
@@ -224,7 +247,7 @@ let of_string s =
              (fun a b -> compare (at_of a) (at_of b))
              (List.rev ops))
       in
-      Ok { script; conn_count })
+      Ok (make script ~conn_count))
   | _ -> Error "not a hermes-trace v1 file"
 
 let save t ~path =

@@ -37,10 +37,18 @@ val ops : trace -> op list
 (** In timestamp order. *)
 
 val replay : trace -> device:Lb.Device.t -> rate:float -> unit
-(** Schedule the whole trace onto the device's simulator, timestamps
-    scaled by [1/rate].  Requests addressed to connections that are not
-    yet established are buffered client-side and flushed on
-    establishment; requests to reset connections are dropped. *)
+(** Stream the trace onto the device's simulator, timestamps scaled by
+    [1/rate], through one {!Engine.Sim.feed}: the script's sequence
+    numbers are reserved now, so the ops fire exactly as if all were
+    scheduled up front, but only the next op is ever pending.  Requests
+    addressed to connections that are not yet established are buffered
+    client-side (with tenant id 0) and flushed on establishment;
+    requests to reset connections are dropped.  A connection's
+    client-side state leaves the replay's key table with the last op
+    naming that key, so finished connections are not kept reachable
+    for the rest of the run.
+    @raise Invalid_argument if [rate] is not positive or the first op
+    lies before the simulator's clock. *)
 
 (** {1 Persistence}
 

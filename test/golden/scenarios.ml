@@ -28,7 +28,11 @@
                       its own logical process behind the coordinator's
                       rounds, one drained out of rotation and removed
                       once empty, one losing a worker to a crash; the
-                      capture is the merged per-device trace *)
+                      capture is the merged per-device trace
+   - [replay_case1]   section 6.2's methodology: a recorded Case-1
+                      trace replayed at 2x on a Hermes device, pinning
+                      the replay's event order against the device's
+                      own events *)
 
 let ms = Engine.Sim_time.ms
 let us = Engine.Sim_time.us
@@ -191,6 +195,22 @@ let cluster_drain () =
     (C.merged_trace cluster);
   C.shutdown cluster
 
+let replay_case1 () =
+  let device, sim =
+    make_device (Lb.Device.Hermes Hermes.Config.default) ~workers:4 ~seed:5
+  in
+  let trace =
+    Workload.Replay.record
+      ~profile:
+        (Workload.Profile.scale_rate
+           (Workload.Cases.profile Workload.Cases.Case1 ~workers:4)
+           0.06)
+      ~tenants:1 ~duration:(ms 30) ~rng:(Engine.Rng.create 5)
+  in
+  Lb.Device.start device;
+  Workload.Replay.replay trace ~device ~rate:2.0;
+  Engine.Sim.run_until sim ~limit:(ms 20)
+
 let all =
   [
     {
@@ -227,6 +247,12 @@ let all =
         "# scenario cluster_drain: 3 Hermes devices x 2 workers as shards, \
          drain+remove slot 0 at 3ms, crash a worker of slot 1 at 4ms";
       run = cluster_drain;
+    };
+    {
+      name = "replay_case1";
+      header =
+        "# scenario replay_case1: Hermes, 4 workers, a 30ms Case-1 trace replayed at 2x";
+      run = replay_case1;
     };
   ]
 

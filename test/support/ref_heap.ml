@@ -3,7 +3,7 @@
    ref_heap.mli for why the leaky [cancel] is intentional. *)
 
 type event = {
-  time : Sim_time.t;
+  time : Engine.Sim_time.t;
   seq : int;
   action : unit -> unit;
   mutable cancelled : bool;
@@ -15,7 +15,7 @@ type handle = event
 type t = {
   mutable heap : event array;
   mutable size : int;
-  mutable clock : Sim_time.t;
+  mutable clock : Engine.Sim_time.t;
   mutable seq : int;
   mutable stopping : bool;
   mutable fired : int;
@@ -80,18 +80,44 @@ let pop t =
     Some top
   end
 
+let schedule_seq t ~at ~seq action =
+  let ev = { time = at; seq; action; cancelled = false } in
+  push t ev;
+  ev
+
 let schedule t ~at action =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.schedule: at=%d is before now=%d" at t.clock);
-  let ev = { time = at; seq = t.seq; action; cancelled = false } in
-  t.seq <- t.seq + 1;
-  push t ev;
-  ev
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  schedule_seq t ~at ~seq action
+
+(* Same contract as [Sim.feed]: the heap orders by (time, seq) whatever
+   the insertion order, so arming each member with its reserved seq
+   as the previous one fires is all it takes. *)
+let feed t ~n ~at ~run =
+  if n < 0 then invalid_arg "Sim.feed: negative n";
+  if n > 0 then begin
+    let first = t.seq in
+    t.seq <- first + n;
+    let at0 = at 0 in
+    if at0 < t.clock then invalid_arg "Sim.feed: at 0 is in the past";
+    let rec arm i time =
+      ignore
+        (schedule_seq t ~at:time ~seq:(first + i) (fun () ->
+             (if i + 1 < n then
+                let next = at (i + 1) in
+                if next < time then invalid_arg "Sim.feed: at is decreasing";
+                arm (i + 1) next);
+             run i))
+    in
+    arm 0 at0
+  end
 
 let schedule_after t ~delay action =
   if delay < 0 then invalid_arg "Sim.schedule_after: negative delay";
-  schedule t ~at:(Sim_time.add t.clock delay) action
+  schedule t ~at:(Engine.Sim_time.add t.clock delay) action
 
 let cancel _t ev = ev.cancelled <- true
 let is_pending _t ev = not ev.cancelled

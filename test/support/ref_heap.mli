@@ -4,7 +4,7 @@
     preserved for two jobs:
 
     - the qcheck differential suite ([test/test_engine.ml]) replays
-      random schedule/cancel/run_until programs against both engines
+      random schedule/feed/cancel/run_until programs against both engines
       and demands identical [(time, seq)] firing order; and
     - the scheduler benchmarks ([bench/main.exe]) measure the wheel's
       speedup against this baseline {e in the same run}, which is what
@@ -25,9 +25,13 @@ type t
 type handle
 
 val create : unit -> t
-val now : t -> Sim_time.t
-val schedule : t -> at:Sim_time.t -> (unit -> unit) -> handle
-val schedule_after : t -> delay:Sim_time.t -> (unit -> unit) -> handle
+val now : t -> Engine.Sim_time.t
+val schedule : t -> at:Engine.Sim_time.t -> (unit -> unit) -> handle
+val schedule_after : t -> delay:Engine.Sim_time.t -> (unit -> unit) -> handle
+val feed : t -> n:int -> at:(int -> Engine.Sim_time.t) -> run:(int -> unit) -> unit
+(** {!Engine.Sim.feed}'s contract on the heap: one reserved block of
+    sequence numbers, one member pending at a time. *)
+
 val cancel : t -> handle -> unit
 val is_pending : t -> handle -> bool
 
@@ -37,7 +41,7 @@ val pending_count : t -> int
 
 val step : t -> bool
 val run : t -> unit
-val run_until : t -> limit:Sim_time.t -> unit
+val run_until : t -> limit:Engine.Sim_time.t -> unit
 val stop : t -> unit
 val events_fired : t -> int
 

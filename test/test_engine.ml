@@ -325,6 +325,56 @@ let test_sim_pending_count () =
   Engine.Sim.cancel sim h1;
   check Alcotest.int "one pending" 1 (Engine.Sim.pending_count sim)
 
+(* A feed fires like the same members scheduled up front, ties with
+   other events included, while keeping one member pending. *)
+let test_sim_feed () =
+  let times = [| 5; 5; 7; 7; 7; 9 |] in
+  let observe use_feed =
+    let sim = Engine.Sim.create () in
+    let log = ref [] in
+    let note tag () = log := tag :: !log in
+    ignore (Engine.Sim.schedule sim ~at:5 (note "before@5"));
+    let run i =
+      note (Printf.sprintf "m%d" i) ();
+      (* an ordinary event at the same tick lands after the feed's
+         reserved block *)
+      if i = 2 then ignore (Engine.Sim.schedule sim ~at:7 (note "inner@7"))
+    in
+    if use_feed then begin
+      Engine.Sim.feed sim ~n:(Array.length times) ~at:(Array.get times) ~run;
+      check Alcotest.int "one member pending" 2 (Engine.Sim.pending_count sim)
+    end
+    else Array.iteri (fun i at -> ignore (Engine.Sim.schedule sim ~at (fun () -> run i))) times;
+    ignore (Engine.Sim.schedule sim ~at:7 (note "after@7"));
+    Engine.Sim.run sim;
+    (List.rev !log, Engine.Sim.events_fired sim)
+  in
+  let fed, fed_n = observe true and eager, eager_n = observe false in
+  check Alcotest.(list string) "same order as scheduling up front" eager fed;
+  check Alcotest.int "same events fired" eager_n fed_n;
+  check Alcotest.(list string) "order"
+    [ "before@5"; "m0"; "m1"; "m2"; "m3"; "m4"; "after@7"; "inner@7"; "m5" ]
+    fed
+
+let test_sim_feed_invalid () =
+  let sim = Engine.Sim.create () in
+  Engine.Sim.run_until sim ~limit:10;
+  let nop _ = () in
+  (try
+     Engine.Sim.feed sim ~n:2 ~at:(fun i -> 5 + i) ~run:nop;
+     Alcotest.fail "first member in the past"
+   with Invalid_argument _ -> ());
+  (try
+     Engine.Sim.feed sim ~n:(-1) ~at:(fun _ -> 20) ~run:nop;
+     Alcotest.fail "negative n"
+   with Invalid_argument _ -> ());
+  Engine.Sim.feed sim ~n:0 ~at:(fun _ -> assert false) ~run:nop;
+  check Alcotest.int "empty feed pends nothing" 0 (Engine.Sim.pending_count sim);
+  Engine.Sim.feed sim ~n:3 ~at:(fun i -> if i = 2 then 15 else 20) ~run:nop;
+  match Engine.Sim.run sim with
+  | () -> Alcotest.fail "decreasing times must be rejected"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Timing wheel: cancellation-leak fixes and edge cases                 *)
 
@@ -418,13 +468,22 @@ let test_wheel_churn_bounded () =
 
 type dop =
   | DSched of int * int (* at (relative to now), fanout selector *)
+  | DFeed of int * int list (* first at (relative to now), gaps *)
   | DCancel of int (* index into the handles issued so far *)
   | DUntil of int (* run_until target *)
 
 let dop_print = function
   | DSched (at, f) -> Printf.sprintf "DSched(%d,%d)" at f
+  | DFeed (at, gaps) ->
+    Printf.sprintf "DFeed(%d,[%s])" at (String.concat "," (List.map string_of_int gaps))
   | DCancel i -> Printf.sprintf "DCancel %d" i
   | DUntil l -> Printf.sprintf "DUntil %d" l
+
+(* Absolute member times of a feed starting at [start]. *)
+let feed_times start gaps =
+  let times = Array.make (List.length gaps + 1) start in
+  List.iteri (fun i g -> times.(i + 1) <- times.(i) + g) gaps;
+  times
 
 (* Interpret a program against either engine, producing a full
    observation: every firing (time, id, depth), every run_until
@@ -436,6 +495,7 @@ module Replay (S : sig
   val create : unit -> t
   val now : t -> int
   val schedule : t -> at:int -> (unit -> unit) -> handle
+  val feed : t -> n:int -> at:(int -> int) -> run:(int -> unit) -> unit
   val cancel : t -> handle -> unit
   val pending_count : t -> int
   val run_until : t -> limit:int -> unit
@@ -465,6 +525,19 @@ struct
           let h = S.schedule sim ~at (action (fanout mod 4)) in
           handles := h :: !handles;
           incr n_handles
+        | DFeed (at, gaps) ->
+          let times = feed_times (S.now sim + at) gaps in
+          let id = !next_id in
+          incr next_id;
+          (* Some members schedule an ordinary event at their own tick:
+             it carries a later seq than every reserved member, so a
+             zero-gap successor must still fire first. *)
+          S.feed sim ~n:(Array.length times) ~at:(Array.get times) ~run:(fun i ->
+              log := (S.now sim, id, 100 + i) :: !log;
+              if (id + i) mod 2 = 0 then
+                ignore
+                  (S.schedule sim ~at:(S.now sim) (fun () ->
+                       log := (S.now sim, id, 200 + i) :: !log)))
         | DCancel i ->
           if !n_handles > 0 then
             S.cancel sim (List.nth !handles (i mod !n_handles))
@@ -478,7 +551,7 @@ struct
 end
 
 module Wheel_replay = Replay (Engine.Sim)
-module Heap_replay = Replay (Engine.Ref_heap)
+module Heap_replay = Replay (Test_support.Ref_heap)
 
 (* [Sim.next_time_lower_bound], read at every [DUntil] checkpoint, must
    not exceed the time of the next event to fire.  Events scheduled
@@ -503,6 +576,10 @@ let lower_bound_holds prog =
         if !floor <> min_int then floor := min !floor at;
         handles := S.schedule sim ~at fired :: !handles;
         incr n_handles
+      | DFeed (at, gaps) ->
+        let times = feed_times (S.now sim + at) gaps in
+        if !floor <> min_int then floor := min !floor times.(0);
+        S.feed sim ~n:(Array.length times) ~at:(Array.get times) ~run:(fun _ -> fired ())
       | DCancel i ->
         if !n_handles > 0 then S.cancel sim (List.nth !handles (i mod !n_handles))
       | DUntil lim ->
@@ -521,6 +598,15 @@ let prop_wheel_matches_heap =
         (frequency
            [
              (5, map2 (fun a f -> DSched (a, f)) (int_bound 2000) (int_bound 7));
+             (* near-term schedules and feeds with zero gaps: reserved
+                members landing in the tick being drained, tied with
+                ordinary events *)
+             (3, map2 (fun a f -> DSched (a, f)) (int_bound 40) (int_bound 7));
+             ( 3,
+               map2
+                 (fun a gaps -> DFeed (a, gaps))
+                 (int_bound 40)
+                 (list_size (int_range 0 8) (oneofl [ 0; 0; 0; 1; 2; 5; 40 ])) );
              (2, map (fun i -> DCancel i) (int_bound 100));
              (2, map (fun l -> DUntil l) (int_bound 3000));
            ]))
@@ -665,6 +751,8 @@ let () =
           Alcotest.test_case "recursive scheduling" `Quick test_sim_recursive_scheduling;
           Alcotest.test_case "stop" `Quick test_sim_stop;
           Alcotest.test_case "pending count" `Quick test_sim_pending_count;
+          Alcotest.test_case "feed" `Quick test_sim_feed;
+          Alcotest.test_case "feed invalid" `Quick test_sim_feed_invalid;
           QCheck_alcotest.to_alcotest prop_sim_monotone;
         ] );
       ( "wheel",

@@ -367,7 +367,7 @@ let test_runtime_schedule_and_sync () =
   done;
   Kernel.Ebpf_maps.Syscall.reset ();
   let result = Hermes.Runtime.schedule_and_sync rt ~worker:0 ~now:(ms 100) in
-  check Alcotest.int "all pass" 4 result.Hermes.Scheduler.passed;
+  check Alcotest.int "all pass" 4 (Hermes.Scheduler.passed result);
   (* bitmap landed in the map via one syscall *)
   check Alcotest.int "one syscall" 1 (Kernel.Ebpf_maps.Syscall.count ());
   let m = Hermes.Groups.m_sel (Hermes.Runtime.groups rt) in
@@ -381,7 +381,7 @@ let test_runtime_mark_dead () =
   Hermes.Runtime.mark_dead rt ~worker:1;
   let result = Hermes.Runtime.schedule_and_sync rt ~worker:0 ~now:(ms 501) in
   check Alcotest.(list int) "dead excluded" [ 0 ]
-    (Kernel.Bitops.list_of_bits result.Hermes.Scheduler.bitmap)
+    (Kernel.Bitops.list_of_bits (Hermes.Scheduler.bitmap result))
 
 let test_runtime_accounting () =
   let rt = Hermes.Runtime.create ~config:Hermes.Config.default ~workers:2 () in

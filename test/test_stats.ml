@@ -168,6 +168,187 @@ let prop_hist_percentile_bounded =
           v >= lo *. 0.95 && v <= hi +. 1e-9)
         [ 0.0; 25.0; 50.0; 75.0; 99.0; 100.0 ])
 
+(* The histogram as it was before its moments moved into an unboxed
+   float array: mutable float fields, same arithmetic.  The property
+   below holds the production histogram to it bit for bit, which is
+   what keeps the fig45 and Table 3 cells unchanged. *)
+module Boxed_hist = struct
+  type t = {
+    buckets : int array;
+    bucket_scale : float;
+    linear_limit : float;
+    linear_buckets : int;
+    max_recordable : float;
+    mutable n : int;
+    mutable sum : float;
+    mutable mean_acc : float;
+    mutable m2 : float;
+    mutable minimum : float;
+    mutable maximum : float;
+  }
+
+  let create () =
+    let rel_err = 10.0 ** -2.0 in
+    let bucket_scale = 1.0 /. log (1.0 +. (2.0 *. rel_err)) in
+    let linear_limit = 1.0 /. rel_err in
+    let linear_buckets = int_of_float linear_limit in
+    let log_buckets = int_of_float (ceil (bucket_scale *. log (1e12 /. linear_limit))) + 2 in
+    {
+      buckets = Array.make (linear_buckets + log_buckets) 0;
+      bucket_scale;
+      linear_limit;
+      linear_buckets;
+      max_recordable = 1e12;
+      n = 0;
+      sum = 0.0;
+      mean_acc = 0.0;
+      m2 = 0.0;
+      minimum = infinity;
+      maximum = neg_infinity;
+    }
+
+  let index_of t v =
+    if v < t.linear_limit then int_of_float v
+    else
+      min
+        (t.linear_buckets + int_of_float (t.bucket_scale *. log (v /. t.linear_limit)))
+        (Array.length t.buckets - 1)
+
+  let value_of t i =
+    if i < t.linear_buckets then float_of_int (i + 1)
+    else
+      t.linear_limit
+      *. exp ((float_of_int (i - t.linear_buckets) +. 0.5) /. t.bucket_scale)
+
+  let record_n t v n =
+    if n > 0 then begin
+      let v' = if v > t.max_recordable then t.max_recordable else v in
+      let i = index_of t v' in
+      t.buckets.(i) <- t.buckets.(i) + n;
+      t.n <- t.n + n;
+      let fn = float_of_int n in
+      t.sum <- t.sum +. (v *. fn);
+      let delta = v -. t.mean_acc in
+      t.mean_acc <- t.mean_acc +. (delta *. fn /. float_of_int t.n);
+      t.m2 <- t.m2 +. (delta *. (v -. t.mean_acc) *. fn);
+      if v < t.minimum then t.minimum <- v;
+      if v > t.maximum then t.maximum <- v
+    end
+
+  let total t = t.sum
+  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+  let min_value t = if t.n = 0 then 0.0 else t.minimum
+  let max_value t = if t.n = 0 then 0.0 else t.maximum
+
+  let percentile t p =
+    if t.n = 0 then 0.0
+    else begin
+      let rank = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.n))) in
+      let acc = ref 0 and result = ref t.maximum and i = ref 0 in
+      while !i < Array.length t.buckets do
+        acc := !acc + t.buckets.(!i);
+        if !acc >= rank then begin
+          result := value_of t !i;
+          i := Array.length t.buckets
+        end
+        else incr i
+      done;
+      if !result > t.maximum then t.maximum else !result
+    end
+
+  let stddev t =
+    if t.n < 2 then 0.0
+    else
+      let var = t.m2 /. float_of_int t.n in
+      if var <= 0.0 then 0.0 else sqrt var
+
+  let merge_into ~src ~dst =
+    Array.iteri (fun i c -> dst.buckets.(i) <- dst.buckets.(i) + c) src.buckets;
+    if src.n > 0 then begin
+      let na = float_of_int dst.n and nb = float_of_int src.n in
+      let total = na +. nb in
+      let delta = src.mean_acc -. dst.mean_acc in
+      dst.m2 <- dst.m2 +. src.m2 +. (delta *. delta *. na *. nb /. total);
+      dst.mean_acc <- dst.mean_acc +. (delta *. nb /. total)
+    end;
+    dst.n <- dst.n + src.n;
+    dst.sum <- dst.sum +. src.sum;
+    if src.minimum < dst.minimum then dst.minimum <- src.minimum;
+    if src.maximum > dst.maximum then dst.maximum <- src.maximum
+
+  let reset t =
+    Array.fill t.buckets 0 (Array.length t.buckets) 0;
+    t.n <- 0;
+    t.sum <- 0.0;
+    t.mean_acc <- 0.0;
+    t.m2 <- 0.0;
+    t.minimum <- infinity;
+    t.maximum <- neg_infinity
+end
+
+type hist_op =
+  | Rec of bool * float * int (* into the first histogram?, value, count *)
+  | Merge of bool (* first into second, or the reverse *)
+  | Reset of bool
+
+let hist_op_print = function
+  | Rec (a, v, n) -> Printf.sprintf "Rec(%b,%h,%d)" a v n
+  | Merge a -> Printf.sprintf "Merge %b" a
+  | Reset a -> Printf.sprintf "Reset %b" a
+
+let prop_hist_bit_identical =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          float_range 0.0 200.0;
+          float_range 0.0 1e6;
+          map (fun x -> 1e8 +. x) (float_range 0.0 1e3) (* ns timestamps *);
+          float_range 0.0 2e12 (* past max_value: clamped *);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 80)
+        (frequency
+           [
+             (8, map3 (fun a v n -> Rec (a, v, n)) bool value (int_bound 4));
+             (1, map (fun a -> Merge a) bool);
+             (1, map (fun a -> Reset a) bool);
+           ]))
+  in
+  let arb =
+    QCheck.make gen ~print:(fun p -> String.concat "; " (List.map hist_op_print p))
+  in
+  let module H = Stats.Histogram in
+  let module B = Boxed_hist in
+  let bits = Int64.bits_of_float in
+  let same h b =
+    List.for_all2
+      (fun x y -> bits x = bits y)
+      ([ H.total h; H.mean h; H.stddev h; H.min_value h; H.max_value h ]
+      @ List.map (H.percentile h) [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ])
+      ([ B.total b; B.mean b; B.stddev b; B.min_value b; B.max_value b ]
+      @ List.map (B.percentile b) [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ])
+    && H.count h = b.B.n
+  in
+  QCheck.Test.make ~name:"moments bit-identical to the boxed-field histogram"
+    ~count:300 arb (fun prog ->
+      let h1 = H.create () and h2 = H.create () in
+      let b1 = B.create () and b2 = B.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Rec (a, v, n) ->
+            if a then (H.record_n h1 v n; B.record_n b1 v n)
+            else (H.record_n h2 v n; B.record_n b2 v n)
+          | Merge a ->
+            if a then (H.merge_into ~src:h1 ~dst:h2; B.merge_into ~src:b1 ~dst:b2)
+            else (H.merge_into ~src:h2 ~dst:h1; B.merge_into ~src:b2 ~dst:b1)
+          | Reset a -> if a then (H.reset h1; B.reset b1) else (H.reset h2; B.reset b2));
+          same h1 b1 && same h2 b2)
+        prog)
+
 (* ------------------------------------------------------------------ *)
 (* Summary                                                              *)
 
@@ -273,6 +454,7 @@ let () =
             test_hist_merge_layout_mismatch;
           Alcotest.test_case "merge combines moments" `Quick test_hist_merge_moments;
           QCheck_alcotest.to_alcotest prop_hist_percentile_bounded;
+          QCheck_alcotest.to_alcotest prop_hist_bit_identical;
         ] );
       ( "summary",
         [

@@ -273,6 +273,143 @@ let test_replay_executes () =
   (* rate scaling delivers the same requests (compressed in time) *)
   check Alcotest.int "same total at higher rate" at1 at2
 
+(* The replay as it was before it streamed: every op scheduled up front
+   at set-up.  Kept here only as the reference the streamed
+   [Workload.Replay.replay] must match event for event. *)
+module Eager_replay = struct
+  open Workload.Replay
+
+  type conn_state = {
+    mutable conn : Lb.Conn.t option;
+    mutable buffered : Lb.Request.t list;
+    mutable want_close : bool;
+    mutable dead : bool;
+  }
+
+  let replay trace ~device ~rate =
+    let sim = Lb.Device.sim device in
+    let base = Engine.Sim.now sim in
+    let states = Hashtbl.create 1024 in
+    let state_of key =
+      match Hashtbl.find_opt states key with
+      | Some s -> s
+      | None ->
+        let s = { conn = None; buffered = []; want_close = false; dead = false } in
+        Hashtbl.replace states key s;
+        s
+    in
+    let flush s =
+      match s.conn with
+      | None -> ()
+      | Some conn ->
+        List.iter (fun req -> ignore (Lb.Device.send device conn req)) (List.rev s.buffered);
+        s.buffered <- [];
+        if s.want_close then Lb.Device.close_conn device conn
+    in
+    let scaled at = base + int_of_float (float_of_int at /. rate) in
+    let at_of = function Connect { at; _ } | Send { at; _ } | Close { at; _ } -> at in
+    List.iter
+      (fun op ->
+        ignore
+          (Engine.Sim.schedule sim ~at:(scaled (at_of op)) (fun () ->
+               match op with
+               | Connect { key; tenant; _ } ->
+                 let s = state_of key in
+                 let events =
+                   {
+                     Lb.Device.null_conn_events with
+                     established =
+                       (fun conn ->
+                         s.conn <- Some conn;
+                         flush s);
+                     reset = (fun _ -> s.dead <- true);
+                     dispatch_failed = (fun () -> s.dead <- true);
+                   }
+                 in
+                 Lb.Device.connect device ~tenant ~events
+               | Send { key; op_class; size; cost; _ } -> (
+                 let s = state_of key in
+                 if not s.dead then
+                   let req =
+                     Lb.Request.make ~id:(Lb.Device.fresh_id device) ~op:op_class ~size
+                       ~cost ~tenant_id:0
+                   in
+                   match s.conn with
+                   | Some conn ->
+                     ignore
+                       (Lb.Device.send device conn
+                          { req with Lb.Request.tenant_id = conn.Lb.Conn.tenant_id })
+                   | None -> s.buffered <- req :: s.buffered)
+               | Close { key; _ } -> (
+                 let s = state_of key in
+                 match s.conn with
+                 | Some conn when not s.dead -> Lb.Device.close_conn device conn
+                 | _ -> s.want_close <- true))))
+      (ops trace)
+end
+
+(* Streaming keeps one replay event pending instead of the whole
+   script, and changes nothing else: completions, the latency
+   histogram and the fired-event count equal the eager reference's on
+   a Hermes device, at 1x and at the paper's 2.5x. *)
+let test_replay_streams_like_eager () =
+  let workers = 4 in
+  let trace =
+    Workload.Replay.record
+      ~profile:(Workload.Profile.scale_rate (Workload.Cases.profile Workload.Cases.Case1 ~workers) 0.1)
+      ~tenants:2 ~duration:(Engine.Sim_time.sec 1) ~rng:(Engine.Rng.create 11)
+  in
+  let run rate replay =
+    let device, _ =
+      Experiments.Common.make_device ~workers ~tenants:2
+        ~mode:Experiments.Common.hermes_default ()
+    in
+    let sim = Lb.Device.sim device in
+    Lb.Device.start device;
+    replay trace ~device ~rate;
+    let pending = Engine.Sim.pending_count sim in
+    Engine.Sim.run_until sim ~limit:(Engine.Sim_time.sec 2);
+    let h = Lb.Device.latency_hist device in
+    ( pending,
+      ( Lb.Device.completed device,
+        Engine.Sim.events_fired sim,
+        Stats.Histogram.count h,
+        Stats.Histogram.total h,
+        List.map (Stats.Histogram.percentile h) [ 50.0; 99.0; 100.0 ] ) )
+  in
+  check Alcotest.bool "script is long" true (Workload.Replay.length trace > 100);
+  List.iter
+    (fun rate ->
+      let pending, streamed = run rate Workload.Replay.replay in
+      let eager_pending, eager = run rate Eager_replay.replay in
+      check Alcotest.bool
+        (Printf.sprintf "pending %d <= workers + 2" pending)
+        true (pending <= workers + 2);
+      check Alcotest.bool "eager pends the script" true
+        (eager_pending >= Workload.Replay.length trace);
+      let completed, fired, n, total, pcts = streamed in
+      let e_completed, e_fired, e_n, e_total, e_pcts = eager in
+      check Alcotest.bool "requests completed" true (completed > 0);
+      check Alcotest.int "completed" e_completed completed;
+      check Alcotest.int "events fired" e_fired fired;
+      check Alcotest.int "latency count" e_n n;
+      check Alcotest.(float 0.0) "latency total" e_total total;
+      check Alcotest.(list (float 0.0)) "latency p50/p99/max" e_pcts pcts)
+    [ 1.0; 2.5 ]
+
+let test_replay_rejects_past () =
+  let trace =
+    match Workload.Replay.of_string "# hermes-trace v1\nconns 1\nC -5 1 0\n" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let device, _ =
+    Experiments.Common.make_device ~workers:2 ~tenants:1 ~mode:Lb.Device.Reuseport ()
+  in
+  match Workload.Replay.replay trace ~device ~rate:1.0 with
+  | () -> Alcotest.fail "an op before the clock must be rejected"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "workload"
     [
@@ -309,5 +446,7 @@ let () =
           Alcotest.test_case "record deterministic" `Quick test_replay_record_deterministic;
           Alcotest.test_case "ops sorted" `Quick test_replay_ops_sorted;
           Alcotest.test_case "executes" `Quick test_replay_executes;
+          Alcotest.test_case "streams like eager" `Quick test_replay_streams_like_eager;
+          Alcotest.test_case "rejects ops in the past" `Quick test_replay_rejects_past;
         ] );
     ]
